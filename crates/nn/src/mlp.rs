@@ -258,24 +258,6 @@ impl Mlp {
         activ
     }
 
-    /// Forward pass that records every layer's activated outputs into
-    /// reusable per-layer buffers (used by backprop), so training loops pay
-    /// no allocation per sample. The first trace element is the input itself.
-    pub(crate) fn forward_trace_into(&self, input: &[f32], trace: &mut Vec<Vec<f32>>) {
-        trace.resize_with(self.layers.len() + 1, Vec::new);
-        trace[0].clear();
-        trace[0].extend_from_slice(input);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = trace.split_at_mut(i + 1);
-            let prev = &done[i];
-            let z = &mut rest[0];
-            layer.weights.mul_vec_into(prev, z);
-            for (zi, b) in z.iter_mut().zip(layer.biases.iter()) {
-                *zi = layer.activation.apply(*zi + b);
-            }
-        }
-    }
-
     /// Total number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.topology.parameter_count()
