@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use tartan_core::{run_robot, ExperimentParams, RunOutcome};
 use tartan_par as par;
 use tartan_robots::Scale;
-use tartan_scenario::json::{parse as parse_json, JsonValue};
+use tartan_telemetry::json::{parse as parse_json, JsonValue};
 use tartan_scenario::{Plan, RunParams, ScenarioError, ScenarioSpec};
 use tartan_store::{sha256_hex, ResultStore, StoreCounts, StoreError};
 use tartan_telemetry::{

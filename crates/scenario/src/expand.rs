@@ -19,7 +19,7 @@
 
 use crate::error::ScenarioError;
 use crate::id::ConfigId;
-use crate::json::{parse, JsonValue};
+use tartan_telemetry::json::{parse, JsonValue};
 use crate::spec::{
     MachineSpec, ParamsSpec, SoftwareSpec, SCENARIO_SCHEMA_VERSION,
 };

@@ -23,7 +23,7 @@
 //! labels plus the cached numbers.
 
 use crate::expand::{PlannedJob, RunParams};
-use crate::json::JsonValue;
+use tartan_telemetry::json::JsonValue;
 use crate::spec::{MachineSpec, SoftwareSpec};
 use tartan_robots::Scale;
 
@@ -199,7 +199,7 @@ mod tests {
     fn text_is_valid_json_and_versioned() {
         let (plan, params) = plan_and_params();
         let text = plan.jobs[0].cache_key_text(&params);
-        tartan_telemetry::validate_json(&text).unwrap();
+        tartan_telemetry::json::parse(&text).unwrap();
         assert!(text.starts_with("{\"cache_key_version\":1,\"stats_schema\":"));
         assert!(text.contains("\"robot\":\"DeliBot\""));
         assert!(text.contains("\"seed\":42"));

@@ -9,10 +9,11 @@
 //! ad hoc in each harness.
 //!
 //! The crate is dependency-free beyond the workspace's own `tartan-sim`,
-//! `tartan-robots`, `tartan-telemetry` (coverage fingerprints), and
-//! `tartan-oracle` (the [`synth`] corpus shrinker reuses its ddmin
-//! loop): the environment is offline, so serialization is hand-rolled
-//! in [`json`] with exact (raw-text) number round-trips.
+//! `tartan-robots`, `tartan-telemetry` (coverage fingerprints and the
+//! JSON model), and `tartan-oracle` (the [`synth`] corpus shrinker reuses
+//! its ddmin loop): the environment is offline, so documents are read
+//! and rendered with telemetry's hand-rolled [`json`] module, whose value
+//! tree keeps numbers as raw text for exact round-trips.
 //!
 //! Pipeline:
 //!
@@ -38,10 +39,14 @@ pub mod error;
 pub mod expand;
 pub mod grammar;
 pub mod id;
-pub mod json;
 pub mod key;
 pub mod spec;
 pub mod synth;
+
+/// The workspace's one JSON model (writer, tokenizer, value tree), shared
+/// with every export; re-exported for callers that reach it through the
+/// scenario crate.
+pub use tartan_telemetry::json;
 
 pub use error::ScenarioError;
 pub use expand::{

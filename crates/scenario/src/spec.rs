@@ -15,7 +15,7 @@
 //! disables the feature even if an earlier layer enabled it.
 
 use crate::error::ScenarioError;
-use crate::json::JsonValue;
+use tartan_telemetry::json::JsonValue;
 use tartan_robots::{NeuralExec, NnsKind, Scale, SoftwareConfig, VecMethod};
 use tartan_sim::{
     FaultPlan, FcpConfig, FcpManipulation, MachineConfig, NpuMode, PrefetcherKind, VectorIsa,
@@ -1271,7 +1271,7 @@ impl ParamsSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use tartan_telemetry::json::parse;
 
     fn mspec(doc: &str) -> Result<MachineSpec, ScenarioError> {
         MachineSpec::parse(&parse(doc).unwrap(), "machine")

@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 
 use crate::expand::{RobotsSpec, ScenarioSpec};
-use crate::json::{parse, JsonValue};
+use tartan_telemetry::json::{parse, JsonValue};
 use crate::spec::AdjustOp;
 use tartan_oracle::greedy_min_subset;
 use tartan_telemetry::{CoverageFingerprint, RobotRunStats};

@@ -23,7 +23,7 @@
 //! Chrome-trace timeline with one track per worker thread, loadable in
 //! Perfetto next to the per-run simulator traces.
 
-use crate::json::{push_f64, push_str, validate_json};
+use crate::json::{push_str, render, round_trip, Codec, Record};
 use crate::metrics::MetricsSnapshot;
 
 /// Version stamped into every campaign-observability document
@@ -43,6 +43,13 @@ pub struct CampaignPhase {
     pub name: String,
     /// Host nanoseconds spent in the phase.
     pub host_nanos: u64,
+}
+
+impl Record for CampaignPhase {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("name", &mut self.name)?;
+        c.field("host_nanos", &mut self.host_nanos)
+    }
 }
 
 /// The host-execution record of one campaign job.
@@ -72,20 +79,19 @@ pub struct JobSpan {
     pub ok: bool,
 }
 
-impl JobSpan {
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(buf, "{{\"index\":{},\"robot\":", self.index);
-        push_str(buf, &self.robot);
-        buf.push_str(",\"config\":");
-        push_str(buf, &self.config);
-        buf.push_str(",\"label\":");
-        push_str(buf, &self.label);
-        let _ = write!(
-            buf,
-            ",\"worker\":{},\"start_nanos\":{},\"end_nanos\":{},\"attempts\":{},\"slow\":{},\"cached\":{},\"ok\":{}}}",
-            self.worker, self.start_nanos, self.end_nanos, self.attempts, self.slow, self.cached, self.ok
-        );
+impl Record for JobSpan {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("index", &mut self.index)?;
+        c.field("robot", &mut self.robot)?;
+        c.field("config", &mut self.config)?;
+        c.field("label", &mut self.label)?;
+        c.field("worker", &mut self.worker)?;
+        c.field("start_nanos", &mut self.start_nanos)?;
+        c.field("end_nanos", &mut self.end_nanos)?;
+        c.field("attempts", &mut self.attempts)?;
+        c.field("slow", &mut self.slow)?;
+        c.field("cached", &mut self.cached)?;
+        c.field("ok", &mut self.ok)
     }
 }
 
@@ -118,82 +124,29 @@ impl CampaignProfile {
 
     /// Serializes the document; layout deterministic, values host-measured.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut buf = String::new();
-        let _ = write!(
-            buf,
-            "{{\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION},\"generator\":"
-        );
-        push_str(&mut buf, &self.generator);
-        buf.push_str(",\"scenario\":");
-        push_str(&mut buf, &self.scenario);
-        let _ = write!(
-            buf,
-            ",\"jobs\":{},\"total_host_nanos\":{},\"phases\":[",
-            self.jobs, self.total_host_nanos
-        );
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            buf.push_str("{\"name\":");
-            push_str(&mut buf, &p.name);
-            let _ = write!(buf, ",\"host_nanos\":{}}}", p.host_nanos);
-        }
-        buf.push_str("],\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            s.write_json(&mut buf);
-        }
-        buf.push_str("],\"metrics\":");
-        self.metrics.write_json(&mut buf);
-        buf.push_str("}\n");
-        buf
+        render(self.clone()) + "\n"
     }
 }
 
-/// Structurally validates a `campaign_profile.json` document: well-formed
-/// JSON, the current [`CAMPAIGN_SCHEMA_VERSION`], the required top-level
-/// keys, and — when any span is present — the required span keys.
+impl Record for CampaignProfile {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.fixed("campaign_schema_version", CAMPAIGN_SCHEMA_VERSION)?;
+        c.field("generator", &mut self.generator)?;
+        c.field("scenario", &mut self.scenario)?;
+        c.field("jobs", &mut self.jobs)?;
+        c.field("total_host_nanos", &mut self.total_host_nanos)?;
+        c.field("phases", &mut self.phases)?;
+        c.field("spans", &mut self.spans)?;
+        c.field("metrics", &mut self.metrics)
+    }
+}
+
+/// Validates a `campaign_profile.json` document by decoding it into a
+/// [`CampaignProfile`] (the current [`CAMPAIGN_SCHEMA_VERSION`], every key
+/// in writer order, metric names sorted and unique) and requiring
+/// [`CampaignProfile::to_json`] to reproduce it byte for byte.
 pub fn validate_campaign_profile_json(s: &str) -> Result<(), String> {
-    validate_json(s)?;
-    let expect = format!("\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION}");
-    if !s.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    for key in [
-        "\"generator\":",
-        "\"scenario\":",
-        "\"jobs\":",
-        "\"total_host_nanos\":",
-        "\"phases\":",
-        "\"spans\":",
-        "\"metrics\":",
-    ] {
-        if !s.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    if s.contains("\"index\":") {
-        for key in [
-            "\"robot\":",
-            "\"config\":",
-            "\"worker\":",
-            "\"start_nanos\":",
-            "\"end_nanos\":",
-            "\"attempts\":",
-            "\"slow\":",
-            "\"cached\":",
-            "\"ok\":",
-        ] {
-            if !s.contains(key) {
-                return Err(format!("missing span key {key}"));
-            }
-        }
-    }
-    Ok(())
+    round_trip(s, |p: CampaignProfile| render(p) + "\n")
 }
 
 /// Renders a campaign's job spans as a Chrome-trace JSON object with one
@@ -292,24 +245,7 @@ impl Heartbeat {
 
     /// Renders the heartbeat as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        use std::fmt::Write;
-        let mut buf = String::new();
-        let _ = write!(
-            buf,
-            "{{\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION},\"type\":\"heartbeat\",\"done\":{},\"total\":{},\"elapsed_nanos\":{},\"runs_per_sec\":",
-            self.done, self.total, self.elapsed_nanos
-        );
-        push_f64(&mut buf, self.runs_per_sec());
-        let _ = write!(
-            buf,
-            ",\"eta_nanos\":{},\"cache_hits\":{},\"retries\":{},\"slow\":{},\"failures\":{}}}",
-            self.eta_nanos(),
-            self.cache_hits,
-            self.retries,
-            self.slow,
-            self.failures
-        );
-        buf
+        render(*self)
     }
 
     /// Renders the heartbeat as the human `--progress` line.
@@ -331,32 +267,27 @@ impl Heartbeat {
     }
 }
 
-/// Structurally validates one heartbeat JSONL line.
+impl Record for Heartbeat {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.fixed("campaign_schema_version", CAMPAIGN_SCHEMA_VERSION)?;
+        c.fixed("type", String::from("heartbeat"))?;
+        c.field("done", &mut self.done)?;
+        c.field("total", &mut self.total)?;
+        c.field("elapsed_nanos", &mut self.elapsed_nanos)?;
+        c.derived("runs_per_sec", self.runs_per_sec())?;
+        c.derived("eta_nanos", self.eta_nanos())?;
+        c.field("cache_hits", &mut self.cache_hits)?;
+        c.field("retries", &mut self.retries)?;
+        c.field("slow", &mut self.slow)?;
+        c.field("failures", &mut self.failures)
+    }
+}
+
+/// Validates one heartbeat JSONL line by decoding it into a [`Heartbeat`]
+/// and requiring [`Heartbeat::to_json_line`] to reproduce it byte for
+/// byte, which recomputes `runs_per_sec` and `eta_nanos`.
 pub fn validate_heartbeat_json(line: &str) -> Result<(), String> {
-    validate_json(line)?;
-    let expect = format!("\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION}");
-    if !line.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    if !line.contains("\"type\":\"heartbeat\"") {
-        return Err("missing \"type\":\"heartbeat\"".into());
-    }
-    for key in [
-        "\"done\":",
-        "\"total\":",
-        "\"elapsed_nanos\":",
-        "\"runs_per_sec\":",
-        "\"eta_nanos\":",
-        "\"cache_hits\":",
-        "\"retries\":",
-        "\"slow\":",
-        "\"failures\":",
-    ] {
-        if !line.contains(key) {
-            return Err(format!("missing heartbeat key {key}"));
-        }
-    }
-    Ok(())
+    round_trip(line, render::<Heartbeat>)
 }
 
 /// One `results/BENCH_history.jsonl` line: a compact record of one
@@ -383,53 +314,29 @@ pub struct BenchHistoryLine {
 impl BenchHistoryLine {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        use std::fmt::Write;
-        let mut buf = String::new();
-        let _ = write!(
-            buf,
-            "{{\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION},\"type\":\"bench\",\"generator\":"
-        );
-        push_str(&mut buf, &self.generator);
-        let _ = write!(
-            buf,
-            ",\"timestamp_secs\":{},\"jobs\":{},\"runs\":{},\"total_host_nanos\":{},\"runs_per_sec\":",
-            self.timestamp_secs, self.jobs, self.runs, self.total_host_nanos
-        );
-        push_f64(&mut buf, self.runs_per_sec);
-        buf.push_str(",\"warm_runs_per_sec\":");
-        match self.warm_runs_per_sec {
-            Some(v) => push_f64(&mut buf, v),
-            None => buf.push_str("null"),
-        }
-        buf.push('}');
-        buf
+        render(self.clone())
     }
 }
 
-/// Structurally validates one `BENCH_history.jsonl` line.
+impl Record for BenchHistoryLine {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.fixed("campaign_schema_version", CAMPAIGN_SCHEMA_VERSION)?;
+        c.fixed("type", String::from("bench"))?;
+        c.field("generator", &mut self.generator)?;
+        c.field("timestamp_secs", &mut self.timestamp_secs)?;
+        c.field("jobs", &mut self.jobs)?;
+        c.field("runs", &mut self.runs)?;
+        c.field("total_host_nanos", &mut self.total_host_nanos)?;
+        c.field("runs_per_sec", &mut self.runs_per_sec)?;
+        c.field("warm_runs_per_sec", &mut self.warm_runs_per_sec)
+    }
+}
+
+/// Validates one `BENCH_history.jsonl` line by decoding it into a
+/// [`BenchHistoryLine`] and requiring [`BenchHistoryLine::to_json_line`]
+/// to reproduce it byte for byte.
 pub fn validate_bench_history_line(line: &str) -> Result<(), String> {
-    validate_json(line)?;
-    let expect = format!("\"campaign_schema_version\":{CAMPAIGN_SCHEMA_VERSION}");
-    if !line.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    if !line.contains("\"type\":\"bench\"") {
-        return Err("missing \"type\":\"bench\"".into());
-    }
-    for key in [
-        "\"generator\":",
-        "\"timestamp_secs\":",
-        "\"jobs\":",
-        "\"runs\":",
-        "\"total_host_nanos\":",
-        "\"runs_per_sec\":",
-        "\"warm_runs_per_sec\":",
-    ] {
-        if !line.contains(key) {
-            return Err(format!("missing history key {key}"));
-        }
-    }
-    Ok(())
+    round_trip(line, render::<BenchHistoryLine>)
 }
 
 #[cfg(test)]
@@ -513,7 +420,7 @@ mod tests {
     fn trace_has_one_track_per_worker_and_store_instants() {
         let spans: Vec<JobSpan> = (0..4).map(|i| sample_span(i, i % 2)).collect();
         let json = campaign_trace_json("smoke", 2, &spans);
-        validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
+        crate::json::parse(&json).unwrap_or_else(|e| panic!("{e}"));
         assert!(json.contains("\"name\":\"worker-0\""));
         assert!(json.contains("\"name\":\"worker-1\""));
         assert!(!json.contains("\"name\":\"worker-2\""));

@@ -27,6 +27,12 @@
 //!   campaigns: lock-free counters/gauges, per-phase host-time
 //!   attribution, worker-track Chrome traces, progress heartbeats, and
 //!   bench history lines (all under [`CAMPAIGN_SCHEMA_VERSION`]).
+//! * **JSON model** ([`json`]) — the workspace's one JSON implementation:
+//!   the deterministic writer, one tokenizer, the record codec every
+//!   export is written with, and the [`json::JsonValue`] tree. Every
+//!   `validate_*` function decodes its document with that codec into the
+//!   struct that writes it and requires the writer to reproduce the input
+//!   byte for byte.
 //! * **Coverage fingerprints** ([`CoverageFingerprint`]) — bucketed
 //!   behavioral regimes extracted from [`RobotRunStats`], the novelty
 //!   signal behind the coverage-guided scenario synthesizer.
@@ -42,7 +48,7 @@ mod chrome;
 mod coverage;
 mod event;
 mod hist;
-mod json;
+pub mod json;
 mod metrics;
 mod report;
 mod sink;
@@ -58,7 +64,7 @@ pub use coverage::{CoverageFingerprint, MissRegime, PrefetchBand, SupervisionVer
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use event::{CacheOutcome, Event, FaultSite, Interest, Level};
 pub use hist::{Histogram, SAMPLE_CAP};
-pub use json::{push_f64, push_str, validate_json};
+pub use json::{push_f64, push_str};
 pub use report::{PhaseNode, Report, ReportBuilder, ScopeCounters};
 pub use sink::{
     shared, CountingSink, FaultCounts, JsonLinesSink, LevelCounts, RingBufferSink, SharedSink,

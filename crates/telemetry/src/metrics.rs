@@ -22,10 +22,11 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::push_str;
+use crate::json::{push_str, render, Codec, Reader, Record, Value};
 
 /// A monotonically increasing metric handle. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
@@ -148,29 +149,45 @@ impl MetricsSnapshot {
 
     /// Renders `{"counters":{...},"gauges":{...}}` with sorted keys.
     pub fn to_json(&self) -> String {
-        let mut buf = String::new();
-        self.write_json(&mut buf);
-        buf
+        render(self.clone())
+    }
+}
+
+impl Record for MetricsSnapshot {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("counters", &mut self.counters)?;
+        c.field("gauges", &mut self.gauges)
+    }
+}
+
+/// A name → value map, written as an object in its stored order; on
+/// reading, names must be sorted and unique, as a snapshot's are.
+impl Value for Vec<(String, u64)> {
+    fn write(&mut self, buf: &mut String) {
+        buf.push('{');
+        for (i, (name, v)) in self.iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            push_str(buf, name);
+            let _ = write!(buf, ":{v}");
+        }
+        buf.push('}');
     }
 
-    pub(crate) fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        let write_map = |buf: &mut String, pairs: &[(String, u64)]| {
-            buf.push('{');
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                push_str(buf, k);
-                let _ = write!(buf, ":{v}");
+    fn read(r: &mut Reader) -> Result<Self, String> {
+        let mut pairs: Vec<(String, u64)> = Vec::new();
+        r.members(|r, name| {
+            if pairs
+                .last()
+                .is_some_and(|(last, _)| last.as_str() >= &*name)
+            {
+                return Err(format!("metric {name:?} is out of order or repeated"));
             }
-            buf.push('}');
-        };
-        buf.push_str("{\"counters\":");
-        write_map(buf, &self.counters);
-        buf.push_str(",\"gauges\":");
-        write_map(buf, &self.gauges);
-        buf.push('}');
+            pairs.push((name.into_owned(), u64::read(r)?));
+            Ok(())
+        })?;
+        Ok(pairs)
     }
 }
 
@@ -212,7 +229,7 @@ mod tests {
             vec![("alpha".to_string(), 2), ("zeta".to_string(), 1)]
         );
         let json = snap.to_json();
-        crate::json::validate_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         assert_eq!(
             json,
             "{\"counters\":{\"alpha\":2,\"zeta\":1},\"gauges\":{\"mid\":9}}"

@@ -482,7 +482,7 @@ mod tests {
         assert_eq!(sink.lines(), 14);
         assert_eq!(sink.dropped(), 0);
         for line in sink.contents().lines() {
-            crate::json::validate_json(line).unwrap();
+            crate::json::parse(line).unwrap();
         }
 
         let mut tiny = JsonLinesSink::with_limit(10);

@@ -12,7 +12,7 @@
 //! * Removing or renaming a field → same, and call it out as breaking.
 //! * Consumers must ignore unknown fields.
 
-use crate::json::{push_f64, push_str};
+use crate::json::{push_str, render, round_trip, Codec, Record, Value};
 
 /// Version of the `stats.json` schema emitted by [`StatsExport::to_json`].
 ///
@@ -58,25 +58,20 @@ impl CacheCounters {
             self.misses as f64 / self.accesses as f64
         }
     }
+}
 
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            buf,
-            "{{\"accesses\":{},\"hits\":{},\"misses\":{},\"miss_ratio\":",
-            self.accesses, self.hits, self.misses
-        );
-        push_f64(buf, self.miss_ratio());
-        let _ = write!(
-            buf,
-            ",\"prefetch_covered\":{},\"prefetches_issued\":{},\"prefetches_useful\":{},\"prefetches_late\":{},\"evictions\":{},\"writebacks\":{}}}",
-            self.prefetch_covered,
-            self.prefetches_issued,
-            self.prefetches_useful,
-            self.prefetches_late,
-            self.evictions,
-            self.writebacks
-        );
+impl Record for CacheCounters {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("accesses", &mut self.accesses)?;
+        c.field("hits", &mut self.hits)?;
+        c.field("misses", &mut self.misses)?;
+        c.derived("miss_ratio", self.miss_ratio())?;
+        c.field("prefetch_covered", &mut self.prefetch_covered)?;
+        c.field("prefetches_issued", &mut self.prefetches_issued)?;
+        c.field("prefetches_useful", &mut self.prefetches_useful)?;
+        c.field("prefetches_late", &mut self.prefetches_late)?;
+        c.field("evictions", &mut self.evictions)?;
+        c.field("writebacks", &mut self.writebacks)
     }
 }
 
@@ -93,14 +88,12 @@ pub struct FaultCounters {
     pub unrecovered: u64,
 }
 
-impl FaultCounters {
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            buf,
-            "{{\"injected\":{},\"detected\":{},\"recovered\":{},\"unrecovered\":{}}}",
-            self.injected, self.detected, self.recovered, self.unrecovered
-        );
+impl Record for FaultCounters {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("injected", &mut self.injected)?;
+        c.field("detected", &mut self.detected)?;
+        c.field("recovered", &mut self.recovered)?;
+        c.field("unrecovered", &mut self.unrecovered)
     }
 }
 
@@ -115,14 +108,11 @@ pub struct SupervisionCounters {
     pub cpu_fallbacks: u64,
 }
 
-impl SupervisionCounters {
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            buf,
-            "{{\"invocations\":{},\"rollbacks\":{},\"cpu_fallbacks\":{}}}",
-            self.invocations, self.rollbacks, self.cpu_fallbacks
-        );
+impl Record for SupervisionCounters {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("invocations", &mut self.invocations)?;
+        c.field("rollbacks", &mut self.rollbacks)?;
+        c.field("cpu_fallbacks", &mut self.cpu_fallbacks)
     }
 }
 
@@ -135,6 +125,14 @@ pub struct PhaseEntry {
     pub cycles: u64,
     /// Instructions attributed.
     pub instructions: u64,
+}
+
+impl Record for PhaseEntry {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("name", &mut self.name)?;
+        c.field("cycles", &mut self.cycles)?;
+        c.field("instructions", &mut self.instructions)
+    }
 }
 
 /// Everything `stats.json` records about one robot run.
@@ -179,51 +177,26 @@ impl RobotRunStats {
     /// the result is byte-identical to a fresh serialization, which is what
     /// makes resumed campaigns reproduce a clean run's output bit for bit.
     pub fn to_json_record(&self) -> String {
-        let mut buf = String::new();
-        self.write_json(&mut buf);
-        buf
+        render(self.clone())
     }
+}
 
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        buf.push_str("{\"robot\":");
-        push_str(buf, &self.robot);
-        buf.push_str(",\"config\":");
-        push_str(buf, &self.config);
-        let _ = write!(
-            buf,
-            ",\"wall_cycles\":{},\"instructions\":{},\"quality\":",
-            self.wall_cycles, self.instructions
-        );
-        push_f64(buf, self.quality);
-        buf.push_str(",\"l1\":");
-        self.l1.write_json(buf);
-        buf.push_str(",\"l2\":");
-        self.l2.write_json(buf);
-        buf.push_str(",\"l3\":");
-        self.l3.write_json(buf);
-        let _ = write!(
-            buf,
-            ",\"dram_bytes\":{},\"l3_traffic_bytes\":{},\"npu_invocations\":{}",
-            self.dram_bytes, self.l3_traffic_bytes, self.npu_invocations
-        );
-        buf.push_str(",\"supervision\":");
-        match &self.supervision {
-            Some(s) => s.write_json(buf),
-            None => buf.push_str("null"),
-        }
-        buf.push_str(",\"faults\":");
-        self.faults.write_json(buf);
-        buf.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            buf.push_str("{\"name\":");
-            push_str(buf, &p.name);
-            let _ = write!(buf, ",\"cycles\":{},\"instructions\":{}}}", p.cycles, p.instructions);
-        }
-        buf.push_str("]}");
+impl Record for RobotRunStats {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("robot", &mut self.robot)?;
+        c.field("config", &mut self.config)?;
+        c.field("wall_cycles", &mut self.wall_cycles)?;
+        c.field("instructions", &mut self.instructions)?;
+        c.field("quality", &mut self.quality)?;
+        c.field("l1", &mut self.l1)?;
+        c.field("l2", &mut self.l2)?;
+        c.field("l3", &mut self.l3)?;
+        c.field("dram_bytes", &mut self.dram_bytes)?;
+        c.field("l3_traffic_bytes", &mut self.l3_traffic_bytes)?;
+        c.field("npu_invocations", &mut self.npu_invocations)?;
+        c.field("supervision", &mut self.supervision)?;
+        c.field("faults", &mut self.faults)?;
+        c.field("phases", &mut self.phases)
     }
 }
 
@@ -245,20 +218,14 @@ pub struct JobFailureStats {
     pub message: String,
 }
 
-impl JobFailureStats {
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        buf.push_str("{\"robot\":");
-        push_str(buf, &self.robot);
-        buf.push_str(",\"config\":");
-        push_str(buf, &self.config);
-        buf.push_str(",\"label\":");
-        push_str(buf, &self.label);
-        buf.push_str(",\"group\":");
-        push_str(buf, &self.group);
-        let _ = write!(buf, ",\"attempts\":{},\"message\":", self.attempts);
-        push_str(buf, &self.message);
-        buf.push('}');
+impl Record for JobFailureStats {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("robot", &mut self.robot)?;
+        c.field("config", &mut self.config)?;
+        c.field("label", &mut self.label)?;
+        c.field("group", &mut self.group)?;
+        c.field("attempts", &mut self.attempts)?;
+        c.field("message", &mut self.message)
     }
 }
 
@@ -277,8 +244,22 @@ impl StatsExport {
     /// Serializes the document. The schema version is stamped
     /// automatically; the output is byte-deterministic.
     pub fn to_json(&self) -> String {
-        let records: Vec<String> = self.runs.iter().map(RobotRunStats::to_json_record).collect();
+        self.clone().into_json()
+    }
+
+    fn into_json(self) -> String {
+        let records: Vec<String> = self.runs.into_iter().map(render).collect();
         stats_export_json(&self.generator, &records, &self.failures)
+    }
+}
+
+/// The top-level layout [`stats_export_json`] writes; used to decode.
+impl Record for StatsExport {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.fixed("schema_version", STATS_SCHEMA_VERSION)?;
+        c.field("generator", &mut self.generator)?;
+        c.field("runs", &mut self.runs)?;
+        c.field("failures", &mut self.failures)
     }
 }
 
@@ -306,14 +287,9 @@ pub fn stats_export_json(
         }
         buf.push_str(r);
     }
-    buf.push_str("],\"failures\":[");
-    for (i, f) in failures.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        f.write_json(&mut buf);
-    }
-    buf.push_str("]}\n");
+    buf.push_str("],\"failures\":");
+    failures.to_vec().write(&mut buf);
+    buf.push_str("}\n");
     buf
 }
 
@@ -357,24 +333,16 @@ impl HostRunStats {
             self.wall_cycles as f64 * 1e9 / nanos as f64
         }
     }
+}
 
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        buf.push_str("{\"robot\":");
-        push_str(buf, &self.robot);
-        buf.push_str(",\"config\":");
-        push_str(buf, &self.config);
-        let _ = write!(
-            buf,
-            ",\"wall_cycles\":{},\"host_nanos\":{}",
-            self.wall_cycles, self.host_nanos
-        );
-        if let Some(cold) = self.cold_host_nanos {
-            let _ = write!(buf, ",\"cold_host_nanos\":{cold}");
-        }
-        buf.push_str(",\"sim_cycles_per_host_sec\":");
-        push_f64(buf, self.sim_cycles_per_host_sec());
-        buf.push('}');
+impl Record for HostRunStats {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("robot", &mut self.robot)?;
+        c.field("config", &mut self.config)?;
+        c.field("wall_cycles", &mut self.wall_cycles)?;
+        c.field("host_nanos", &mut self.host_nanos)?;
+        c.optional("cold_host_nanos", &mut self.cold_host_nanos)?;
+        c.derived("sim_cycles_per_host_sec", self.sim_cycles_per_host_sec())
     }
 }
 
@@ -399,23 +367,13 @@ impl WarmBenchStats {
             self.runs.len() as f64 * 1e9 / self.total_host_nanos as f64
         }
     }
+}
 
-    fn write_json(&self, buf: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            buf,
-            "{{\"total_host_nanos\":{},\"runs_per_sec\":",
-            self.total_host_nanos
-        );
-        push_f64(buf, self.runs_per_sec());
-        buf.push_str(",\"runs\":[");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            r.write_json(buf);
-        }
-        buf.push_str("]}");
+impl Record for WarmBenchStats {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.field("total_host_nanos", &mut self.total_host_nanos)?;
+        c.derived("runs_per_sec", self.runs_per_sec())?;
+        c.field("runs", &mut self.runs)
     }
 }
 
@@ -449,89 +407,39 @@ impl HostBenchExport {
     /// Serializes the document, stamping the schema version. The layout is
     /// deterministic; the timing *values* are whatever the host measured.
     pub fn to_json(&self) -> String {
-        let mut buf = String::new();
-        use std::fmt::Write;
-        let _ = write!(buf, "{{\"schema_version\":{STATS_SCHEMA_VERSION},\"generator\":");
-        push_str(&mut buf, &self.generator);
-        let _ = write!(
-            buf,
-            ",\"jobs\":{},\"total_host_nanos\":{},\"runs_per_sec\":",
-            self.jobs, self.total_host_nanos
-        );
-        push_f64(&mut buf, self.runs_per_sec());
-        buf.push_str(",\"runs\":[");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            r.write_json(&mut buf);
-        }
-        buf.push(']');
-        if let Some(warm) = &self.warm {
-            buf.push_str(",\"warm\":");
-            warm.write_json(&mut buf);
-        }
-        buf.push_str("}\n");
-        buf
+        render(self.clone()) + "\n"
     }
 }
 
-/// Structurally validates a `BENCH_host.json` document: well-formed JSON,
-/// the current [`STATS_SCHEMA_VERSION`], and the required top-level and
-/// per-run keys. The `"warm"` section is optional (v3).
+impl Record for HostBenchExport {
+    fn walk<C: Codec>(&mut self, c: &mut C) -> Result<(), String> {
+        c.fixed("schema_version", STATS_SCHEMA_VERSION)?;
+        c.field("generator", &mut self.generator)?;
+        c.field("jobs", &mut self.jobs)?;
+        c.field("total_host_nanos", &mut self.total_host_nanos)?;
+        c.derived("runs_per_sec", self.runs_per_sec())?;
+        c.field("runs", &mut self.runs)?;
+        c.optional("warm", &mut self.warm)
+    }
+}
+
+/// Validates a `BENCH_host.json` document by decoding it into a
+/// [`HostBenchExport`] (the current [`STATS_SCHEMA_VERSION`], every key
+/// in writer order, integers where the writer puts integers; the
+/// `"warm"` section and warm rows' `cold_host_nanos` are optional) and
+/// requiring [`HostBenchExport::to_json`] to reproduce it byte for byte,
+/// which recomputes every `runs_per_sec` and `sim_cycles_per_host_sec`.
 pub fn validate_host_bench_json(s: &str) -> Result<(), String> {
-    crate::json::validate_json(s)?;
-    let expect = format!("\"schema_version\":{STATS_SCHEMA_VERSION}");
-    if !s.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    for key in ["\"generator\":", "\"jobs\":", "\"total_host_nanos\":", "\"runs_per_sec\":", "\"runs\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    if s.contains("\"robot\":") {
-        for key in ["\"wall_cycles\":", "\"host_nanos\":", "\"sim_cycles_per_host_sec\":"] {
-            if !s.contains(key) {
-                return Err(format!("missing per-run key {key}"));
-            }
-        }
-    }
-    Ok(())
+    round_trip(s, |e: HostBenchExport| render(e) + "\n")
 }
 
-/// Structurally validates a `stats.json` document: well-formed JSON, the
-/// current [`STATS_SCHEMA_VERSION`], and the required top-level and
-/// per-run keys. Used by tests and the CI schema guard.
+/// Validates a `stats.json` document by decoding every run and failure
+/// record into a [`StatsExport`] (the current [`STATS_SCHEMA_VERSION`],
+/// every key in writer order) and requiring [`StatsExport::to_json`] to
+/// reproduce it byte for byte, which recomputes every `miss_ratio`. Used
+/// by the binaries, tests and the benchmark.
 pub fn validate_stats_json(s: &str) -> Result<(), String> {
-    crate::json::validate_json(s)?;
-    let expect = format!("\"schema_version\":{STATS_SCHEMA_VERSION}");
-    if !s.contains(&expect) {
-        return Err(format!("missing or mismatched {expect}"));
-    }
-    for key in ["\"generator\":", "\"runs\":", "\"failures\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    // Per-run keys are only required if any run is present.
-    if s.contains("\"robot\":") {
-        for key in [
-            "\"wall_cycles\":",
-            "\"instructions\":",
-            "\"quality\":",
-            "\"l1\":",
-            "\"l2\":",
-            "\"l3\":",
-            "\"faults\":",
-            "\"phases\":",
-        ] {
-            if !s.contains(key) {
-                return Err(format!("missing per-run key {key}"));
-            }
-        }
-    }
-    Ok(())
+    round_trip(s, StatsExport::into_json)
 }
 
 #[cfg(test)]
@@ -618,10 +526,14 @@ mod tests {
 
     #[test]
     fn validator_rejects_wrong_version() {
-        let json = sample_export()
-            .to_json()
-            .replace("\"schema_version\":3", "\"schema_version\":9999");
-        assert!(validate_stats_json(&json).is_err());
+        // 31 starts with the current version's digits.
+        for stamp in ["9999", "31"] {
+            let json = sample_export().to_json().replace(
+                "\"schema_version\":3",
+                &format!("\"schema_version\":{stamp}"),
+            );
+            assert!(validate_stats_json(&json).is_err(), "{stamp} accepted");
+        }
     }
 
     #[test]
@@ -678,8 +590,36 @@ mod tests {
 
     #[test]
     fn validator_rejects_missing_run_keys() {
-        let json = sample_export().to_json().replace("\"quality\":", "\"q\":");
-        assert!(validate_stats_json(&json).is_err());
+        let e = sample_export();
+        let record = e.runs[0].to_json_record();
+        let l2 = render(e.runs[0].l2);
+        let no_l2 = record.replace(&format!(",\"l2\":{l2}"), "");
+        assert_ne!(no_l2, record);
+        let mut runs_as_text = String::new();
+        push_str(&mut runs_as_text, &record);
+        for (what, json) in [
+            ("renamed key", e.to_json().replace("\"quality\":", "\"q\":")),
+            (
+                "second run without l2",
+                stats_export_json("g", &[record.clone(), no_l2], &[]),
+            ),
+            (
+                "runs as a string holding the keys",
+                format!(
+                    "{{\"schema_version\":3,\"generator\":\"g\",\"runs\":{runs_as_text},\"failures\":[]}}\n"
+                ),
+            ),
+            (
+                "malformed number",
+                e.to_json().replace("\"wall_cycles\":123456", "\"wall_cycles\":1-2.3.4"),
+            ),
+            (
+                "miss_ratio that is not misses / accesses",
+                e.to_json().replace("\"miss_ratio\":0.1,", "\"miss_ratio\":0.5,"),
+            ),
+        ] {
+            assert!(validate_stats_json(&json).is_err(), "{what} accepted: {json}");
+        }
     }
 
     #[test]
@@ -740,16 +680,11 @@ mod tests {
         row.host_nanos = 1_000; // 1 µs store fetch
         row.cold_host_nanos = Some(500_000_000);
         assert!((row.sim_cycles_per_host_sec() - 2_000_000.0).abs() < 1e-6);
-        let json = {
-            let mut buf = String::new();
-            row.write_json(&mut buf);
-            buf
-        };
+        let json = render(row);
         assert!(json.contains("\"host_nanos\":1000,\"cold_host_nanos\":500000000"));
         // Cold rows keep the key out of the document entirely.
-        let mut buf = String::new();
-        sample_host_export().runs[0].write_json(&mut buf);
-        assert!(!buf.contains("cold_host_nanos"));
+        let json = render(sample_host_export().runs[0].clone());
+        assert!(!json.contains("cold_host_nanos"));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use std::fs;
 
 use tartan::campaign::cli;
-use tartan::scenario::json::{parse as parse_json, JsonValue};
+use tartan::sim::telemetry::json::{parse as parse_json, JsonValue};
 
 const USAGE: &str = "usage: bench_compare BASELINE CURRENT [--threshold PCT] [--warn-only]";
 

@@ -17,7 +17,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use tartan::scenario::json::{parse as parse_json, JsonValue};
+use tartan::sim::telemetry::json::{parse as parse_json, JsonValue};
 
 /// Four jobs: DeliBot and MoveBot on the default baseline and on Tartan.
 const SCENARIO_A: &str = r#"{

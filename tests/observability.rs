@@ -17,9 +17,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use tartan::scenario::json::{parse as parse_json, JsonValue};
+use tartan::sim::telemetry::json::{parse as parse_json, JsonValue};
 use tartan::sim::telemetry::{
     validate_bench_history_line, validate_campaign_profile_json, validate_heartbeat_json,
+    BenchHistoryLine, Heartbeat,
 };
 
 /// Same four-job matrix as the store-resume suite: two fast robots on the
@@ -455,6 +456,23 @@ fn campaign_validators_reject_malformed_documents() {
     assert!(validate_heartbeat_json(wrong_version)
         .unwrap_err()
         .contains("campaign_schema_version"));
+    // A version whose digits start with the current one's is still wrong.
+    let beat = Heartbeat::default().to_json_line();
+    let prefixed = beat.replace(
+        "\"campaign_schema_version\":1,",
+        "\"campaign_schema_version\":12,",
+    );
+    assert_ne!(prefixed, beat);
+    assert!(validate_heartbeat_json(&prefixed)
+        .unwrap_err()
+        .contains("campaign_schema_version"));
+    let history = BenchHistoryLine::default().to_json_line();
+    let v19 = history.replace(
+        "\"campaign_schema_version\":1,",
+        "\"campaign_schema_version\":19,",
+    );
+    assert_ne!(v19, history);
+    assert!(validate_bench_history_line(&v19).is_err());
     assert!(validate_campaign_profile_json("{\"generator\":\"x\"}").is_err());
 
     // Right version, wrong type tag.
@@ -469,6 +487,10 @@ fn campaign_validators_reject_malformed_documents() {
     assert!(validate_heartbeat_json(missing_keys)
         .unwrap_err()
         .contains("elapsed_nanos"));
+    // Every key present, but a count that is not a number.
+    let string_count = beat.replace("\"done\":0,", "\"done\":\"x\",");
+    assert_ne!(string_count, beat);
+    assert!(validate_heartbeat_json(&string_count).is_err());
     let missing_keys = "{\"campaign_schema_version\":1,\"type\":\"bench\",\"generator\":\"b\"}";
     assert!(validate_bench_history_line(missing_keys)
         .unwrap_err()

@@ -4,8 +4,8 @@
 use tartan::core::{run_robot, ExperimentParams, MachineConfig, RobotKind, SoftwareConfig};
 use tartan::robots::Scale;
 use tartan::sim::telemetry::{
-    chrome_trace_json, shared, validate_json, validate_stats_json, CountingSink, JsonLinesSink,
-    Level, RingBufferSink, StatsExport,
+    chrome_trace_json, json, shared, validate_bench_history_line, validate_host_bench_json,
+    validate_stats_json, CountingSink, JsonLinesSink, Level, RingBufferSink, StatsExport,
 };
 use tartan::sim::{Machine, MachineStats};
 
@@ -32,7 +32,7 @@ fn same_seed_runs_trace_identically() {
     assert_eq!(a, b, "same-seed event streams must be byte-identical");
     assert_eq!(stats_a, stats_b);
     for line in a.lines().take(500) {
-        validate_json(line).unwrap_or_else(|e| panic!("bad event line {line}: {e}"));
+        json::parse(line).unwrap_or_else(|e| panic!("bad event line {line}: {e}"));
     }
 }
 
@@ -109,7 +109,7 @@ fn reports_are_deterministic_and_structured() {
     let iter = root.child("iteration").expect("iteration scope");
     assert_eq!(iter.instances, params.steps as u64);
     assert!(iter.latency.p99() >= iter.latency.p50());
-    validate_json(&a.report.to_json()).unwrap();
+    json::parse(&a.report.to_json()).unwrap();
 }
 
 #[test]
@@ -125,6 +125,19 @@ fn schema_md_documents_the_current_version() {
 }
 
 #[test]
+fn checked_in_bench_results_validate() {
+    // The committed bench documents are what the writers produce, so each
+    // must decode and re-render byte for byte.
+    validate_stats_json(include_str!("../results/BENCH_tier1.json"))
+        .unwrap_or_else(|e| panic!("results/BENCH_tier1.json: {e}"));
+    validate_host_bench_json(include_str!("../results/BENCH_host.json"))
+        .unwrap_or_else(|e| panic!("results/BENCH_host.json: {e}"));
+    for line in include_str!("../results/BENCH_history.jsonl").lines() {
+        validate_bench_history_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    }
+}
+
+#[test]
 fn flybot_exports_valid_chrome_trace_and_stats_json() {
     let mut m = Machine::new(MachineConfig::tartan());
     let (ring, sink) = shared(RingBufferSink::new(200_000));
@@ -135,7 +148,7 @@ fn flybot_exports_valid_chrome_trace_and_stats_json() {
     let events = ring.lock().unwrap().events();
     assert!(!events.is_empty());
     let trace = chrome_trace_json("FlyBot", &events);
-    validate_json(&trace).unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
+    json::parse(&trace).unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
     assert!(trace.contains("\"traceEvents\""));
 
     let out = run_robot(
