@@ -182,14 +182,27 @@ mod tests {
         assert_eq!(sup.check(50.0), IterationVerdict::Accept);
     }
 
+    /// Debug builds assert on a regressing CPU rerun...
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "must not regress")]
     fn cpu_rerun_regression_is_a_bug() {
         let mut sup = AxarSupervisor::new();
         sup.check(50.0);
         sup.check(60.0);
-        // Debug builds assert; release builds would get Err instead.
         let _ = sup.record_cpu_rerun(61.0);
+    }
+
+    /// ...and release builds report it as an error.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn cpu_rerun_regression_is_an_error() {
+        let mut sup = AxarSupervisor::new();
+        sup.check(50.0);
+        sup.check(60.0);
+        assert!(sup.record_cpu_rerun(61.0).is_err());
+        assert!(sup.record_cpu_rerun(f64::NAN).is_err());
+        assert_eq!(sup.best_cost(), Some(50.0));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! long event misses. History capacity is bounded to reflect the >100 KB
 //! per-core storage the paper attributes to Bingo.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
 use crate::{PrefetchContext, Prefetcher};
 
@@ -23,13 +24,76 @@ const REGION_BYTES: u64 = 2048;
 /// Maximum number of history entries (bounds the modeled metadata storage).
 const HISTORY_ENTRIES: usize = 4096;
 
+/// Maximum number of in-flight region generations (cache residency bound).
+const ACTIVE_GENERATIONS: usize = 512;
+
+/// A hash map that also remembers the order in which its keys were last
+/// written, so the oldest entry is found in O(log n) and the choice never
+/// depends on hash iteration order.
+#[derive(Debug, Clone)]
+struct WriteOrderedMap<K, V> {
+    /// Key → (value, write stamp).
+    entries: HashMap<K, (V, u64)>,
+    /// Write stamp → key, oldest first. Stamps are unique.
+    order: BTreeMap<u64, K>,
+    next_stamp: u64,
+}
+
+impl<K: Copy + Eq + Hash, V> WriteOrderedMap<K, V> {
+    fn new() -> Self {
+        WriteOrderedMap {
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
+            next_stamp: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|(v, _)| v)
+    }
+
+    /// Mutable access that leaves the key's place in the write order.
+    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|(v, _)| v)
+    }
+
+    /// Inserts or overwrites `key`, making it the newest entry.
+    fn insert(&mut self, key: K, value: V) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if let Some((_, old)) = self.entries.insert(key, (value, stamp)) {
+            self.order.remove(&old);
+        }
+        self.order.insert(stamp, key);
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let (value, stamp) = self.entries.remove(key)?;
+        self.order.remove(&stamp);
+        Some(value)
+    }
+
+    /// The least recently written key.
+    fn oldest(&self) -> Option<K> {
+        self.order.first_key_value().map(|(_, &k)| k)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+        self.next_stamp = 0;
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Generation {
     trigger_pc: u64,
     trigger_offset: u32,
     footprint: u64,
-    /// Insertion stamp used for FIFO-ish replacement of stale generations.
-    stamp: u64,
 }
 
 /// The Bingo-like spatial prefetcher.
@@ -54,13 +118,13 @@ struct Generation {
 pub struct Bingo {
     line_size: u64,
     lines_per_region: u32,
-    /// Footprints of in-flight region generations, keyed by region number.
-    active: HashMap<u64, Generation>,
+    /// Footprints of in-flight region generations, keyed by region number,
+    /// in the order the generations started (the oldest is ended first).
+    active: WriteOrderedMap<u64, Generation>,
     /// Long-event history: (PC, offset) → footprint bitmap.
-    history_long: HashMap<(u64, u32), u64>,
+    history_long: WriteOrderedMap<(u64, u32), u64>,
     /// Short-event history: PC → footprint bitmap.
-    history_short: HashMap<u64, u64>,
-    stamp: u64,
+    history_short: WriteOrderedMap<u64, u64>,
 }
 
 impl Bingo {
@@ -84,10 +148,9 @@ impl Bingo {
         Bingo {
             line_size,
             lines_per_region,
-            active: HashMap::new(),
-            history_long: HashMap::new(),
-            history_short: HashMap::new(),
-            stamp: 0,
+            active: WriteOrderedMap::new(),
+            history_long: WriteOrderedMap::new(),
+            history_short: WriteOrderedMap::new(),
         }
     }
 
@@ -107,16 +170,17 @@ impl Bingo {
             // still finds a (rotated) pattern.
             let rotated = generation.footprint.rotate_right(generation.trigger_offset);
             self.history_short.insert(generation.trigger_pc, rotated);
+            // Capacity bound: drop the least recently written entry. A real
+            // Bingo uses set-associative tables with LRU; for the timing
+            // study only the hit patterns matter, but the choice must be
+            // deterministic.
             if self.history_long.len() > HISTORY_ENTRIES {
-                // Cheap capacity bound: drop an arbitrary entry. A real Bingo
-                // uses set-associative tables with LRU; for the timing study
-                // only the hit patterns matter.
-                if let Some(&k) = self.history_long.keys().next() {
+                if let Some(k) = self.history_long.oldest() {
                     self.history_long.remove(&k);
                 }
             }
             if self.history_short.len() > HISTORY_ENTRIES {
-                if let Some(&k) = self.history_short.keys().next() {
+                if let Some(k) = self.history_short.oldest() {
                     self.history_short.remove(&k);
                 }
             }
@@ -145,7 +209,6 @@ impl Prefetcher for Bingo {
     fn on_access(&mut self, ctx: PrefetchContext, out: &mut Vec<u64>) {
         let region = self.region_of(ctx.line_addr);
         let offset = self.offset_of(ctx.line_addr);
-        self.stamp += 1;
         if let Some(generation) = self.active.get_mut(&region) {
             generation.footprint |= 1u64 << offset;
             return;
@@ -161,19 +224,17 @@ impl Prefetcher for Bingo {
                 }
             }
         }
-        let stamp = self.stamp;
         self.active.insert(
             region,
             Generation {
                 trigger_pc: ctx.pc,
                 trigger_offset: offset,
                 footprint: 1u64 << offset,
-                stamp,
             },
         );
-        // Bound in-flight generations (cache residency bound).
-        if self.active.len() > 512 {
-            if let Some((&oldest, _)) = self.active.iter().min_by_key(|(_, g)| g.stamp) {
+        // Bound in-flight generations: end the oldest.
+        if self.active.len() > ACTIVE_GENERATIONS {
+            if let Some(oldest) = self.active.oldest() {
                 self.commit(oldest);
             }
         }
@@ -201,7 +262,6 @@ impl Prefetcher for Bingo {
         self.active.clear();
         self.history_long.clear();
         self.history_short.clear();
-        self.stamp = 0;
     }
 }
 
@@ -281,6 +341,150 @@ mod tests {
         bingo.reset();
         bingo.on_access(miss(0x10, 0), &mut out);
         assert!(out.is_empty());
+    }
+
+    /// The previous active-generation bound, kept as a reference: a linear
+    /// `min_by_key` scan over insertion stamps of every active generation.
+    /// Otherwise the same model (history stays below its capacity here).
+    struct ScanBingo {
+        inner: Bingo,
+        active: HashMap<u64, (Generation, u64)>,
+        stamp: u64,
+    }
+
+    impl ScanBingo {
+        fn new(line_size: u64) -> Self {
+            ScanBingo {
+                inner: Bingo::new(line_size),
+                active: HashMap::new(),
+                stamp: 0,
+            }
+        }
+
+        fn commit(&mut self, region: u64) {
+            if let Some((g, _)) = self.active.remove(&region) {
+                self.inner
+                    .history_long
+                    .insert((g.trigger_pc, g.trigger_offset), g.footprint);
+                let rotated = g.footprint.rotate_right(g.trigger_offset);
+                self.inner.history_short.insert(g.trigger_pc, rotated);
+                assert!(self.inner.history_long.len() <= HISTORY_ENTRIES);
+                assert!(self.inner.history_short.len() <= HISTORY_ENTRIES);
+            }
+        }
+
+        fn on_access(&mut self, ctx: PrefetchContext, out: &mut Vec<u64>) {
+            let region = self.inner.region_of(ctx.line_addr);
+            let offset = self.inner.offset_of(ctx.line_addr);
+            self.stamp += 1;
+            if let Some((g, _)) = self.active.get_mut(&region) {
+                g.footprint |= 1u64 << offset;
+                return;
+            }
+            if !ctx.hit {
+                if let Some(footprint) = self.inner.lookup_footprint(ctx.pc, offset) {
+                    let base = region * REGION_BYTES;
+                    for line in 0..self.inner.lines_per_region {
+                        if line != offset && footprint & (1u64 << line) != 0 {
+                            out.push(base + u64::from(line) * self.inner.line_size);
+                        }
+                    }
+                }
+            }
+            let g = Generation {
+                trigger_pc: ctx.pc,
+                trigger_offset: offset,
+                footprint: 1u64 << offset,
+            };
+            self.active.insert(region, (g, self.stamp));
+            if self.active.len() > ACTIVE_GENERATIONS {
+                if let Some((&oldest, _)) = self.active.iter().min_by_key(|(_, (_, stamp))| *stamp)
+                {
+                    self.commit(oldest);
+                }
+            }
+        }
+
+        fn on_eviction(&mut self, line_addr: u64) {
+            let region = self.inner.region_of(line_addr);
+            self.commit(region);
+        }
+    }
+
+    #[test]
+    fn ordered_active_index_matches_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut bingo = Bingo::new(32);
+        let mut scan = ScanBingo::new(32);
+        let (mut out, mut expected) = (Vec::new(), Vec::new());
+        let mut prefetches = 0;
+        for step in 0..60_000 {
+            // 2500 regions, 16 PCs: well past 512 active generations, with
+            // history far below its capacity.
+            let line_addr =
+                rng.random_range(0..2500u64) * REGION_BYTES + rng.random_range(0..64u64) * 32;
+            if rng.random_range(0..8u32) == 0 {
+                bingo.on_eviction(line_addr);
+                scan.on_eviction(line_addr);
+            } else {
+                let ctx = PrefetchContext {
+                    pc: rng.random_range(0..16u64),
+                    line_addr,
+                    hit: rng.random_range(0..4u32) == 0,
+                };
+                out.clear();
+                expected.clear();
+                bingo.on_access(ctx, &mut out);
+                scan.on_access(ctx, &mut expected);
+                assert_eq!(out, expected, "step {step}");
+                prefetches += out.len();
+            }
+            assert_eq!(bingo.active.len(), scan.active.len(), "step {step}");
+        }
+        assert_eq!(
+            bingo.active.len(),
+            ACTIVE_GENERATIONS,
+            "the bound must be reached"
+        );
+        assert!(prefetches > 1000, "the stream must replay footprints");
+    }
+
+    #[test]
+    fn history_capacity_eviction_is_deterministic() {
+        // More than HISTORY_ENTRIES distinct trigger events: the capacity
+        // bound evicts on almost every commit. Two instances (with
+        // differently seeded hash maps) must issue identical prefetches.
+        let feed = |bingo: &mut Bingo| {
+            let mut issued = Vec::new();
+            let mut out = Vec::new();
+            for pass in 0..2u64 {
+                // The second pass runs backwards, so the most recently
+                // written history entries are looked up first.
+                for j in 0..6000u64 {
+                    let i = if pass == 0 { j } else { 5999 - j };
+                    let region = pass * 6000 + i;
+                    let pc = 0x1000 + i;
+                    let base = region * REGION_BYTES;
+                    out.clear();
+                    bingo.on_access(miss(pc, base + (i % 64) * 32), &mut out);
+                    bingo.on_access(miss(pc + 1, base + ((i * 7 + 3) % 64) * 32), &mut out);
+                    bingo.on_eviction(base);
+                    issued.extend_from_slice(&out);
+                }
+            }
+            assert!(bingo.history_long.len() <= HISTORY_ENTRIES);
+            assert!(bingo.history_short.len() <= HISTORY_ENTRIES);
+            issued
+        };
+        let first = feed(&mut Bingo::new(32));
+        let second = feed(&mut Bingo::new(32));
+        assert!(
+            !first.is_empty(),
+            "the second pass must replay surviving history"
+        );
+        assert_eq!(first, second);
     }
 
     #[test]

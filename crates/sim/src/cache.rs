@@ -47,30 +47,21 @@ pub enum PrefetchOutcome {
     },
 }
 
-/// Packed per-line status bits: one byte instead of three `bool`s keeps a
-/// [`Line`] at 24 bytes, so a whole set stays inside one or two cachelines
-/// of the *host* during the tag scan.
-const VALID: u8 = 1 << 0;
-const DIRTY: u8 = 1 << 1;
-const PREFETCHED: u8 = 1 << 2;
+/// Per-way status bits, one byte per way in [`Cache`]'s `flags` array.
+/// Validity is not a bit: it is encoded in the tag (see `Cache::tags`).
+const DIRTY: u8 = 1 << 0;
+const PREFETCHED: u8 = 1 << 1;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    line_number: u64,
-    /// Cycle (thread-local time domain) at which a prefetched line's data
-    /// arrives.
-    ready: u64,
-    /// LRU age: 0 = most recently used; larger = closer to eviction.
-    age: u32,
-    /// `VALID` / `DIRTY` / `PREFETCHED` bits.
-    flags: u8,
-}
-
-impl Line {
-    #[inline(always)]
-    fn valid(&self) -> bool {
-        self.flags & VALID != 0
-    }
+/// The stored tag of a resident line: `line_number + 1`, so the tag 0 of a
+/// zero-initialised way means "invalid". Line numbers are byte addresses
+/// shifted right by the line size's log2, so `u64::MAX` never occurs from
+/// the memory system; a direct caller passing it gets a panic, not a wrapped
+/// tag that would match every invalid way.
+#[inline(always)]
+fn tag_of(line_number: u64) -> u64 {
+    line_number
+        .checked_add(1)
+        .expect("line number u64::MAX has no tag")
 }
 
 /// One set-associative cache level.
@@ -78,13 +69,17 @@ impl Line {
 /// The cache stores no data — only tags and replacement metadata — because
 /// the simulator is execution-driven: functional values live in the
 /// workload's own memory. The per-access loop is the simulator's hottest
-/// code: ways live in one flat preallocated array, the FCP index function
-/// runs on masks/shifts precomputed at construction, and LRU aging is
-/// branchless over the set.
+/// code: way metadata lives in one flat array per field (tags, ages, flags,
+/// prefetch arrival cycles), sets are contiguous slices of each, the FCP
+/// index function runs on masks/shifts precomputed at construction, and the
+/// tag scan and LRU aging are branchless over the set. Every array starts
+/// zeroed (all ways invalid), so construction writes none of it.
+///
+/// Methods taking a line number panic on `u64::MAX`, which has no tag.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: u64,
-    ways: u32,
+    ways: usize,
     latency: u64,
     fcp: Option<FcpConfig>,
     /// `sets - 1`: the conventional index mask.
@@ -95,13 +90,23 @@ pub struct Cache {
     fcp_region_shift: u32,
     /// `offset_bits - xor_bits`: selects the high offset bits to XOR.
     fcp_offset_shift: u32,
-    lines: Vec<Line>,
+    /// Per way: [`tag_of`] the resident line, 0 when the way is invalid.
+    tags: Vec<u64>,
+    /// Per way: LRU age, 0 = most recently used; larger = closer to
+    /// eviction. Never above [`AGE_MAX`]. Meaningless for invalid ways.
+    ages: Vec<u16>,
+    /// Per way: `DIRTY` / `PREFETCHED` bits. Meaningless for invalid ways.
+    flags: Vec<u8>,
+    /// Per way: cycle (thread-local time domain) at which a prefetched
+    /// line's data arrives. Read and written only for `PREFETCHED` ways, so
+    /// a level that never receives prefetches never touches its pages.
+    ready: Vec<u64>,
     /// Public running statistics for this level.
     pub stats: CacheStats,
 }
 
 /// Age values saturate here so FCP's `x²` manipulation cannot overflow.
-const AGE_MAX: u32 = 1 << 15;
+const AGE_MAX: u16 = 1 << 15;
 
 impl Cache {
     /// Creates a cache level.
@@ -144,16 +149,22 @@ impl Cache {
                 )
             }
         };
+        let n = (sets as usize) * (ways as usize);
         Cache {
             sets,
-            ways,
+            ways: ways as usize,
             latency,
             fcp,
             sets_mask: sets - 1,
             fcp_offset_mask,
             fcp_region_shift,
             fcp_offset_shift,
-            lines: vec![Line::default(); (sets as usize) * (ways as usize)],
+            // `vec![0; n]` takes the zeroed-allocation path: no page is
+            // written until a way is first filled.
+            tags: vec![0; n],
+            ages: vec![0; n],
+            flags: vec![0; n],
+            ready: vec![0; n],
             stats: CacheStats::default(),
         }
     }
@@ -170,7 +181,7 @@ impl Cache {
 
     /// Associativity.
     pub fn ways(&self) -> u32 {
-        self.ways
+        self.ways as u32
     }
 
     /// Computes the set index for a line number.
@@ -196,37 +207,38 @@ impl Cache {
         }
     }
 
+    /// Index of set `index`'s first way in the per-way arrays.
     #[inline(always)]
-    fn set_slice(&mut self, index: u64) -> &mut [Line] {
-        let start = (index as usize) * (self.ways as usize);
-        &mut self.lines[start..start + self.ways as usize]
+    fn set_start(&self, index: u64) -> usize {
+        (index as usize) * self.ways
     }
 
     /// True-LRU touch: the accessed way becomes age 0, ways that were
     /// younger than it age by one. The loop is branchless: the accessed way
     /// itself contributes a zero increment (`age < old_age` is false for
-    /// `age == old_age`), as do invalid and already-older ways. No clamp is
-    /// needed: a way only increments when `age < old_age ≤ AGE_MAX`.
+    /// `age == old_age`), as do already-older ways. Invalid ways age too:
+    /// their age is never read (a fill resets it), and no clamp is needed
+    /// because a way only increments when `age < old_age ≤ AGE_MAX`.
     #[inline(always)]
-    fn touch(set: &mut [Line], way: usize) {
-        let old_age = set[way].age;
-        for line in set.iter_mut() {
-            line.age += (line.valid() & (line.age < old_age)) as u32;
+    fn touch(ages: &mut [u16], way: usize) {
+        let old_age = ages[way];
+        for age in ages.iter_mut() {
+            *age += u16::from(*age < old_age);
         }
-        set[way].age = 0;
+        ages[way] = 0;
     }
 
     /// Tag compare across all ways, branchless: every way contributes a
     /// conditional-move instead of an early-exit branch, so the scan runs at
-    /// a fixed few cycles regardless of which way (if any) matches. A line
-    /// is resident in at most one way, so keeping the last match is
-    /// equivalent to the first.
+    /// a fixed few cycles regardless of which way (if any) matches. Invalid
+    /// ways hold tag 0, which no line's tag equals, so no valid test is
+    /// needed. A line is resident in at most one way, so keeping the last
+    /// match is equivalent to the first.
     #[inline(always)]
-    fn find(set: &[Line], line_number: u64) -> Option<usize> {
+    fn find(tags: &[u64], tag: u64) -> Option<usize> {
         let mut found = usize::MAX;
-        for (w, l) in set.iter().enumerate() {
-            let hit = l.valid() & (l.line_number == line_number);
-            found = if hit { w } else { found };
+        for (w, &t) in tags.iter().enumerate() {
+            found = if t == tag { w } else { found };
         }
         (found != usize::MAX).then_some(found)
     }
@@ -234,16 +246,16 @@ impl Cache {
     /// First invalid way, else the oldest (smallest way index on ties) — a
     /// single pass instead of the scan-then-max two-pass.
     #[inline(always)]
-    fn victim(set: &[Line]) -> usize {
+    fn victim(tags: &[u64], ages: &[u16]) -> usize {
         let mut victim = 0usize;
-        let mut victim_age = set[0].age;
-        for (w, l) in set.iter().enumerate() {
-            if !l.valid() {
+        let mut victim_age = ages[0];
+        for (w, (&t, &age)) in tags.iter().zip(ages).enumerate() {
+            if t == 0 {
                 return w;
             }
-            if l.age > victim_age {
+            if age > victim_age {
                 victim = w;
-                victim_age = l.age;
+                victim_age = age;
             }
         }
         victim
@@ -255,13 +267,14 @@ impl Cache {
         let Some(fcp) = self.fcp else { return };
         let region_shift = self.fcp_region_shift;
         let region = filled_line >> region_shift;
+        let filled_tag = tag_of(filled_line);
         let m = fcp.manipulation;
-        for line in self.set_slice(index) {
-            if line.valid()
-                && line.line_number != filled_line
-                && line.line_number >> region_shift == region
-            {
-                line.age = m.apply(line.age).min(AGE_MAX);
+        let start = self.set_start(index);
+        let range = start..start + self.ways;
+        for (&t, age) in self.tags[range.clone()].iter().zip(&mut self.ages[range]) {
+            if t != 0 && t != filled_tag && (t - 1) >> region_shift == region {
+                // `min(AGE_MAX)` keeps the result inside `u16`.
+                *age = m.apply(u32::from(*age)).min(u32::from(AGE_MAX)) as u16;
             }
         }
     }
@@ -271,13 +284,18 @@ impl Cache {
     pub fn access(&mut self, line_number: u64, is_write: bool, now: u64) -> AccessOutcome {
         self.stats.accesses += 1;
         let index = self.index_of(line_number);
-        let set = self.set_slice(index);
-        if let Some(way) = Self::find(set, line_number) {
-            let was_prefetched = set[way].flags & PREFETCHED != 0;
-            let ready = set[way].ready;
-            set[way].flags = (set[way].flags & !PREFETCHED) | if is_write { DIRTY } else { 0 };
-            Self::touch(set, way);
-            if was_prefetched {
+        let start = self.set_start(index);
+        let tags = &self.tags[start..start + self.ways];
+        if let Some(found) = Self::find(tags, tag_of(line_number)) {
+            let way = start + found;
+            let flags = self.flags[way];
+            self.flags[way] = (flags & !PREFETCHED) | if is_write { DIRTY } else { 0 };
+            // Touching the most recently used way changes no age: skip it.
+            if self.ages[way] != 0 {
+                Self::touch(&mut self.ages[start..start + self.ways], found);
+            }
+            if flags & PREFETCHED != 0 {
+                let ready = self.ready[way];
                 self.stats.prefetches_useful += 1;
                 if ready <= now {
                     // Timely prefetch: the miss is fully covered.
@@ -310,7 +328,7 @@ impl Cache {
         }
         // Miss: fill.
         self.stats.misses += 1;
-        let evicted = self.fill(index, line_number, is_write, false, 0);
+        let evicted = self.fill(index, line_number, if is_write { DIRTY } else { 0 }, 0);
         AccessOutcome {
             hit: false,
             covered_by_prefetch: false,
@@ -321,44 +339,37 @@ impl Cache {
 
     /// Inserts a prefetched line whose data arrives at `ready`.
     pub fn insert_prefetch(&mut self, line_number: u64, ready: u64) -> PrefetchOutcome {
-        let index = self.index_of(line_number);
-        let set = self.set_slice(index);
-        if Self::find(set, line_number).is_some() {
+        if self.contains(line_number) {
             return PrefetchOutcome::AlreadyPresent;
         }
         self.stats.prefetches_issued += 1;
-        let evicted = self.fill(index, line_number, false, true, ready);
+        let index = self.index_of(line_number);
+        let evicted = self.fill(index, line_number, PREFETCHED, ready);
         PrefetchOutcome::Inserted { evicted }
     }
 
-    fn fill(
-        &mut self,
-        index: u64,
-        line_number: u64,
-        dirty: bool,
-        prefetched: bool,
-        ready: u64,
-    ) -> Option<EvictedLine> {
-        let set = self.set_slice(index);
-        let way = Self::victim(set);
-        let evicted = if set[way].valid() {
-            Some(EvictedLine {
-                line_number: set[way].line_number,
-                dirty: set[way].flags & DIRTY != 0,
-                prefetched: set[way].flags & PREFETCHED != 0,
-            })
-        } else {
-            None
-        };
-        set[way] = Line {
-            line_number,
-            ready,
-            // Start "infinitely old" so the touch below ages every other
-            // resident line by one, as a true LRU stack would.
-            age: AGE_MAX,
-            flags: VALID | if dirty { DIRTY } else { 0 } | if prefetched { PREFETCHED } else { 0 },
-        };
-        Self::touch(set, way);
+    /// Fills `line_number` into set `index` with status `flags`; `ready` is
+    /// stored only for a prefetched fill.
+    fn fill(&mut self, index: u64, line_number: u64, flags: u8, ready: u64) -> Option<EvictedLine> {
+        let start = self.set_start(index);
+        let end = start + self.ways;
+        let found = Self::victim(&self.tags[start..end], &self.ages[start..end]);
+        let way = start + found;
+        let old_tag = self.tags[way];
+        let evicted = (old_tag != 0).then(|| EvictedLine {
+            line_number: old_tag - 1,
+            dirty: self.flags[way] & DIRTY != 0,
+            prefetched: self.flags[way] & PREFETCHED != 0,
+        });
+        self.tags[way] = tag_of(line_number);
+        self.flags[way] = flags;
+        if flags & PREFETCHED != 0 {
+            self.ready[way] = ready;
+        }
+        // Start "infinitely old" so the touch below ages every other
+        // resident line by one, as a true LRU stack would.
+        self.ages[way] = AGE_MAX;
+        Self::touch(&mut self.ages[start..end], found);
         if let Some(ev) = evicted {
             self.stats.evictions += 1;
             if ev.dirty {
@@ -371,23 +382,20 @@ impl Cache {
 
     /// Whether a line is currently resident (no state change).
     pub fn contains(&self, line_number: u64) -> bool {
-        let index = self.index_of(line_number);
-        let start = (index as usize) * (self.ways as usize);
-        self.lines[start..start + self.ways as usize]
-            .iter()
-            .any(|l| l.valid() && l.line_number == line_number)
+        let start = self.set_start(self.index_of(line_number));
+        Self::find(&self.tags[start..start + self.ways], tag_of(line_number)).is_some()
     }
 
     /// Number of currently valid lines (for invariants/testing).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid()).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
-    /// Invalidates everything, keeping statistics.
+    /// Invalidates everything, keeping statistics. Only the tags are
+    /// cleared: an invalid way's age, flags and arrival cycle are never
+    /// read before a fill rewrites them.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.tags.fill(0);
     }
 }
 
@@ -507,6 +515,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "has no tag")]
+    fn line_number_without_tag_is_rejected() {
+        small_cache().access(u64::MAX, false, 0);
+    }
+
+    #[test]
     fn capacity_is_never_exceeded() {
         let mut c = small_cache();
         for line in 0..100 {
@@ -591,6 +605,273 @@ mod tests {
         c.flush();
         assert!(!c.contains(3));
         assert_eq!(c.stats.misses, 1);
+    }
+
+    /// The array-of-structs cache this module's struct-of-arrays layout
+    /// replaced, kept as the reference its decisions must match: one
+    /// 24-byte `Line` per way with a valid bit, `u32` ages, and no skipped
+    /// MRU touch. Index math is shared with [`Cache::index_of`].
+    mod reference {
+        use super::super::{AccessOutcome, EvictedLine, PrefetchOutcome};
+        use crate::config::FcpConfig;
+        use crate::stats::CacheStats;
+        use crate::Cache;
+
+        const VALID: u8 = 1 << 0;
+        const DIRTY: u8 = 1 << 1;
+        const PREFETCHED: u8 = 1 << 2;
+        const AGE_MAX: u32 = 1 << 15;
+
+        #[derive(Debug, Clone, Copy, Default)]
+        struct Line {
+            line_number: u64,
+            ready: u64,
+            age: u32,
+            flags: u8,
+        }
+
+        impl Line {
+            fn valid(&self) -> bool {
+                self.flags & VALID != 0
+            }
+        }
+
+        pub struct AosCache {
+            geometry: Cache,
+            fcp: Option<FcpConfig>,
+            region_shift: u32,
+            ways: usize,
+            lines: Vec<Line>,
+            pub stats: CacheStats,
+        }
+
+        impl AosCache {
+            pub fn new(
+                size_bytes: u64,
+                ways: u32,
+                line_bytes: u64,
+                fcp: Option<FcpConfig>,
+            ) -> Self {
+                let geometry = Cache::new(size_bytes, ways, 4, line_bytes, fcp);
+                let n = geometry.sets() as usize * ways as usize;
+                AosCache {
+                    fcp,
+                    region_shift: geometry.fcp_region_shift,
+                    geometry,
+                    ways: ways as usize,
+                    lines: vec![Line::default(); n],
+                    stats: CacheStats::default(),
+                }
+            }
+
+            fn set(&mut self, index: u64) -> &mut [Line] {
+                let start = index as usize * self.ways;
+                &mut self.lines[start..start + self.ways]
+            }
+
+            fn touch(set: &mut [Line], way: usize) {
+                let old_age = set[way].age;
+                for line in set.iter_mut() {
+                    line.age += (line.valid() & (line.age < old_age)) as u32;
+                }
+                set[way].age = 0;
+            }
+
+            fn find(set: &[Line], line_number: u64) -> Option<usize> {
+                set.iter()
+                    .position(|l| l.valid() && l.line_number == line_number)
+            }
+
+            fn victim(set: &[Line]) -> usize {
+                let mut victim = 0usize;
+                let mut victim_age = set[0].age;
+                for (w, l) in set.iter().enumerate() {
+                    if !l.valid() {
+                        return w;
+                    }
+                    if l.age > victim_age {
+                        victim = w;
+                        victim_age = l.age;
+                    }
+                }
+                victim
+            }
+
+            pub fn access(&mut self, line_number: u64, is_write: bool, now: u64) -> AccessOutcome {
+                self.stats.accesses += 1;
+                let index = self.geometry.index_of(line_number);
+                let set = self.set(index);
+                if let Some(way) = Self::find(set, line_number) {
+                    let was_prefetched = set[way].flags & PREFETCHED != 0;
+                    let ready = set[way].ready;
+                    set[way].flags =
+                        (set[way].flags & !PREFETCHED) | if is_write { DIRTY } else { 0 };
+                    Self::touch(set, way);
+                    let mut out = AccessOutcome {
+                        hit: true,
+                        covered_by_prefetch: false,
+                        late_by: None,
+                        evicted: None,
+                    };
+                    if !was_prefetched {
+                        self.stats.hits += 1;
+                    } else if ready <= now {
+                        self.stats.prefetches_useful += 1;
+                        self.stats.prefetch_covered += 1;
+                        out.covered_by_prefetch = true;
+                    } else {
+                        self.stats.prefetches_useful += 1;
+                        self.stats.misses += 1;
+                        self.stats.prefetches_late += 1;
+                        out.late_by = Some(ready - now);
+                    }
+                    return out;
+                }
+                self.stats.misses += 1;
+                let evicted = self.fill(index, line_number, is_write, false, 0);
+                AccessOutcome {
+                    hit: false,
+                    covered_by_prefetch: false,
+                    late_by: None,
+                    evicted,
+                }
+            }
+
+            pub fn insert_prefetch(&mut self, line_number: u64, ready: u64) -> PrefetchOutcome {
+                let index = self.geometry.index_of(line_number);
+                if Self::find(self.set(index), line_number).is_some() {
+                    return PrefetchOutcome::AlreadyPresent;
+                }
+                self.stats.prefetches_issued += 1;
+                let evicted = self.fill(index, line_number, false, true, ready);
+                PrefetchOutcome::Inserted { evicted }
+            }
+
+            fn fill(
+                &mut self,
+                index: u64,
+                line_number: u64,
+                dirty: bool,
+                prefetched: bool,
+                ready: u64,
+            ) -> Option<EvictedLine> {
+                let set = self.set(index);
+                let way = Self::victim(set);
+                let evicted = set[way].valid().then(|| EvictedLine {
+                    line_number: set[way].line_number,
+                    dirty: set[way].flags & DIRTY != 0,
+                    prefetched: set[way].flags & PREFETCHED != 0,
+                });
+                set[way] = Line {
+                    line_number,
+                    ready,
+                    age: AGE_MAX,
+                    flags: VALID
+                        | if dirty { DIRTY } else { 0 }
+                        | if prefetched { PREFETCHED } else { 0 },
+                };
+                Self::touch(set, way);
+                if let Some(ev) = evicted {
+                    self.stats.evictions += 1;
+                    self.stats.writebacks += u64::from(ev.dirty);
+                }
+                if let Some(fcp) = self.fcp {
+                    let shift = self.region_shift;
+                    for line in self.set(index) {
+                        if line.valid()
+                            && line.line_number != line_number
+                            && line.line_number >> shift == line_number >> shift
+                        {
+                            line.age = fcp.manipulation.apply(line.age).min(AGE_MAX);
+                        }
+                    }
+                }
+                evicted
+            }
+
+            pub fn contains(&self, line_number: u64) -> bool {
+                let start = self.geometry.index_of(line_number) as usize * self.ways;
+                Self::find(&self.lines[start..start + self.ways], line_number).is_some()
+            }
+
+            pub fn valid_lines(&self) -> usize {
+                self.lines.iter().filter(|l| l.valid()).count()
+            }
+
+            pub fn flush(&mut self) {
+                self.lines.fill(Line::default());
+            }
+        }
+    }
+
+    /// Seeded random streams of demand reads and writes, prefetch inserts
+    /// arriving before and after `now`, residency probes and flushes: the
+    /// struct-of-arrays cache must decide exactly like the AoS reference.
+    #[test]
+    fn soa_layout_matches_aos_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let manipulations = [
+            None,
+            Some(FcpManipulation::Increment),
+            Some(FcpManipulation::Double),
+            Some(FcpManipulation::Square),
+        ];
+        for ways in [1u32, 2, 8, 16] {
+            for (m, manipulation) in manipulations.into_iter().enumerate() {
+                let fcp = manipulation.map(|manipulation| FcpConfig {
+                    region_bytes: 512,
+                    xor_bits: 2,
+                    manipulation,
+                });
+                // 16 sets of 64 B lines; FCP regions hold 8 lines.
+                let size = 16 * u64::from(ways) * 64;
+                let mut soa = Cache::new(size, ways, 4, 64, fcp);
+                let mut aos = reference::AosCache::new(size, ways, 64, fcp);
+                let mut rng = StdRng::seed_from_u64(u64::from(ways) * 10 + m as u64);
+                let regions = 8 * u64::from(ways);
+                let mut now = 0u64;
+                for step in 0..20_000 {
+                    now += rng.random_range(0..24u64);
+                    // Few regions, so lines collide in sets and FCP's
+                    // region mates share them.
+                    let line = rng.random_range(0..regions) * 8 + rng.random_range(0..8u64);
+                    let ctx = format!("ways {ways}, fcp {manipulation:?}, step {step}");
+                    match rng.random_range(0..1000u32) {
+                        0..=599 => {
+                            let write = rng.random_range(0..3u32) == 0;
+                            assert_eq!(
+                                soa.access(line, write, now),
+                                aos.access(line, write, now),
+                                "{ctx}: access"
+                            );
+                        }
+                        600..=899 => {
+                            let ready = (now + rng.random_range(0..400u64)).saturating_sub(200);
+                            assert_eq!(
+                                soa.insert_prefetch(line, ready),
+                                aos.insert_prefetch(line, ready),
+                                "{ctx}: prefetch insert"
+                            );
+                        }
+                        900..=998 => {
+                            assert_eq!(soa.contains(line), aos.contains(line), "{ctx}: contains");
+                        }
+                        _ => {
+                            soa.flush();
+                            aos.flush();
+                        }
+                    }
+                    assert_eq!(soa.valid_lines(), aos.valid_lines(), "{ctx}: valid lines");
+                    assert_eq!(soa.stats, aos.stats, "{ctx}: stats");
+                }
+                let s = soa.stats;
+                assert!(
+                    s.evictions > 0 && s.writebacks > 0 && s.prefetch_covered > 0 && s.prefetches_late > 0,
+                    "ways {ways}, fcp {manipulation:?}: the stream must reach every outcome, got {s:?}"
+                );
+            }
+        }
     }
 
     #[test]

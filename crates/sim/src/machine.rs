@@ -206,8 +206,10 @@ impl std::fmt::Debug for Machine {
 ///
 /// so timing, statistics, telemetry, and fault-injection draws are
 /// bit-identical to issuing the elements one at a time. The batch form only
-/// lets the simulator *recognize* runs of guaranteed same-line L1 hits and
-/// charge them in bulk instead of re-walking the hierarchy per element.
+/// lets the simulator *recognize* guaranteed same-line L1 hits and skip
+/// their hierarchy walk: without a fault plan a run of them is charged in
+/// bulk; under one each is charged in order with its own latency-spike
+/// draw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRun {
     /// Byte address of element 0.
@@ -286,9 +288,12 @@ impl<'m> Proc<'m> {
         self.machine.cfg.vector_isa.lanes()
     }
 
-    /// Cycles elapsed on this thread so far.
+    /// Cycles elapsed on this thread so far. Whole issue cycles are folded
+    /// into `cycles` as soon as they accrue, so the carry is always below
+    /// `issue_width` here and adds no cycle.
     pub fn elapsed(&self) -> u64 {
-        self.cycles + self.instr_carry / self.machine.cfg.issue_width
+        debug_assert!(self.instr_carry < self.machine.cfg.issue_width);
+        self.cycles
     }
 
     /// Currently active phase label.
@@ -347,9 +352,16 @@ impl<'m> Proc<'m> {
     /// Converts accumulated instructions into issue cycles.
     fn fold_issue(&mut self) {
         let width = self.machine.cfg.issue_width;
-        let cycles = self.instr_carry / width;
-        if cycles > 0 {
-            self.instr_carry %= width;
+        let carry = self.instr_carry;
+        if carry >= width {
+            // The usual carry is below `2 × width` (an `instr` of fewer than
+            // `width` instructions): one cycle, no division.
+            let cycles = if carry - width < width {
+                1
+            } else {
+                carry / width
+            };
+            self.instr_carry = carry - cycles * width;
             self.cycles += cycles;
             self.phase_cycles += cycles;
             self.phase_touched = true;
@@ -511,12 +523,15 @@ impl<'m> Proc<'m> {
     /// element is a *guaranteed* plain L1 hit (the line is MRU, so the LRU
     /// touch is a no-op; its PREFETCHED bit was cleared and DIRTY marking is
     /// idempotent for a same-kind repeat), costs exactly the L1 latency, and
-    /// — with telemetry's CACHE/TRACE categories masked and no fault plan —
-    /// has no observable effect beyond `accesses`/`hits` counters and the
-    /// issue/stall charges. Those are all additive, so a run of `n` repeats
-    /// collapses into one bulk charge. Everything else (new lines,
-    /// line-crossing elements, special policies, fault plans, traced runs)
-    /// takes the exact scalar sequence.
+    /// — with telemetry's CACHE/TRACE categories masked — has no observable
+    /// effect beyond `accesses`/`hits` counters and the issue/stall charges.
+    /// Without a fault plan those are all additive, so a run of `n` repeats
+    /// collapses into one bulk charge. Under a fault plan each repeat still
+    /// skips the hierarchy walk (a latency spike never changes cache state)
+    /// but is charged one element at a time, drawing its spike in order, so
+    /// the fault RNG stream and the FAULT event stamps match the scalar loop.
+    /// Everything else (new lines, line-crossing elements, special policies,
+    /// traced runs) takes the exact scalar sequence.
     #[allow(clippy::too_many_arguments)]
     fn run_elements<I: Iterator<Item = u64>>(
         &mut self,
@@ -529,22 +544,30 @@ impl<'m> Proc<'m> {
         dependent: bool,
     ) {
         let fast = policy == MemPolicy::Normal
-            && self.machine.fault_state.is_none()
             // `wants` is all-bits containment, so query each category on its
             // own: either CACHE or TRACE interest alone must disable the
             // collapse (both categories emit one event per access).
             && !self.machine.mem.wants(Interest::CACHE)
             && !self.machine.mem.wants(Interest::TRACE);
-        let line = self.machine.mem.line_bytes();
+        let faults = self.machine.fault_state.is_some();
+        let shift = self.machine.mem.line_shift();
         let l1_latency = self.machine.mem.l1_latency();
         let per_elem = lead_instr + 1;
         let mut last_line = u64::MAX;
         let mut repeats: u64 = 0;
         for addr in addrs {
-            let first = addr / line;
-            let last = (addr + bytes - 1) / line;
+            let first = addr >> shift;
+            let last = (addr + bytes - 1) >> shift;
             if fast && first == last && first == last_line {
-                repeats += 1;
+                if faults {
+                    // The scalar element's charges in scalar order, with the
+                    // hierarchy walk replaced by its known outcome.
+                    self.instr(per_elem);
+                    self.machine.mem.note_l1_hits(self.core, 1);
+                    self.stall_element(l1_latency, dependent);
+                } else {
+                    repeats += 1;
+                }
                 continue;
             }
             if repeats > 0 {
@@ -556,9 +579,7 @@ impl<'m> Proc<'m> {
                 .machine
                 .mem
                 .access(self.core, pc, addr, bytes, kind, policy, self.cycles);
-            let raw = raw + self.fault_spike();
-            let stall = if dependent { raw } else { self.overlap(raw, false) };
-            self.stall(stall);
+            self.stall_element(raw, dependent);
             last_line = last;
         }
         if repeats > 0 {
@@ -578,20 +599,33 @@ impl<'m> Proc<'m> {
         }
     }
 
+    /// Stalls a run element whose access took `raw` cycles, after adding
+    /// its latency-spike draw: the full latency when dependent, else the
+    /// out-of-order overlap.
+    fn stall_element(&mut self, raw: u64, dependent: bool) {
+        let raw = raw + self.fault_spike();
+        let stall = if dependent {
+            raw
+        } else {
+            self.overlap(raw, false)
+        };
+        self.stall(stall);
+    }
+
     /// A contiguous vector load of `bytes` starting at `addr`: one vector
     /// instruction per register width, lanes overlap like independent loads.
     pub fn vload(&mut self, pc: u64, addr: u64, bytes: u64, policy: MemPolicy) {
         let reg_bytes = (self.lanes() * 4) as u64;
         self.instr(bytes.div_ceil(reg_bytes));
-        let line = self.machine.mem.line_bytes();
-        let first = addr / line;
-        let last = (addr + bytes - 1) / line;
+        let shift = self.machine.mem.line_shift();
+        let first = addr >> shift;
+        let last = (addr + bytes - 1) >> shift;
         let mut worst = 0;
         for l in first..=last {
             let raw =
                 self.machine
                     .mem
-                    .access(self.core, pc, l * line, 1, AccessKind::Read, policy, self.cycles);
+                    .access(self.core, pc, l << shift, 1, AccessKind::Read, policy, self.cycles);
             worst = worst.max(raw);
         }
         let serial = (last - first).div_ceil(self.machine.cfg.l1_ports.max(1));
@@ -702,7 +736,7 @@ impl<'m> Proc<'m> {
         }
         // Same per-line dedup as `lane_fetch`: consecutive lanes landing in
         // one cache line cost a single probe.
-        let line = self.machine.mem.line_bytes();
+        let shift = self.machine.mem.line_shift();
         let mut worst = 0;
         let mut last_line = u64::MAX;
         for lane in 0..lanes {
@@ -711,7 +745,7 @@ impl<'m> Proc<'m> {
                 sink.push(i);
             }
             let a = base + i as u64 * elem_bytes;
-            let l = a / line;
+            let l = a >> shift;
             if l != last_line {
                 let raw = self
                     .machine
@@ -734,10 +768,10 @@ impl<'m> Proc<'m> {
     /// latency. Consecutive lanes falling in one line cost a single probe.
     fn lane_fetch(&mut self, pc: u64, addrs: &[u64], elem_bytes: u64, policy: MemPolicy) -> u64 {
         let mut worst = 0;
-        let line = self.machine.mem.line_bytes();
+        let shift = self.machine.mem.line_shift();
         let mut last_line = u64::MAX;
         for &a in addrs {
-            let l = a / line;
+            let l = a >> shift;
             if l != last_line {
                 let raw = self
                     .machine
@@ -911,6 +945,43 @@ mod tests {
         m.run(|p| p.instr(400));
         assert_eq!(m.wall_cycles(), 100);
         assert_eq!(m.stats().instructions, 400);
+    }
+
+    #[test]
+    fn elapsed_matches_closed_form_at_odd_widths() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // Issue folding takes a division-free shortcut for small carries;
+        // the elapsed time must still be `stalls + ⌊instructions / width⌋`
+        // after every charge, for widths that are not powers of two.
+        for width in [3u64, 5] {
+            let mut cfg = MachineConfig::legacy_baseline();
+            cfg.issue_width = width;
+            let mut m = Machine::new(cfg);
+            let (instrs, stalls) = m.run(|p| {
+                let mut rng = StdRng::seed_from_u64(width);
+                let (mut instrs, mut stalls) = (0u64, 0u64);
+                for _ in 0..5_000 {
+                    if rng.random_range(0..4u32) == 0 {
+                        let n = rng.random_range(0..7u64);
+                        p.stall(n);
+                        stalls += n;
+                    } else {
+                        // Mostly below one width, sometimes many widths.
+                        let n = if rng.random_range(0..8u32) == 0 {
+                            rng.random_range(0..40u64)
+                        } else {
+                            rng.random_range(0..width)
+                        };
+                        p.instr(n);
+                        instrs += n;
+                    }
+                    assert_eq!(p.elapsed(), stalls + instrs / width, "width {width}");
+                }
+                (instrs, stalls)
+            });
+            assert_eq!(m.wall_cycles(), stalls + instrs / width, "width {width}");
+        }
     }
 
     #[test]

@@ -168,6 +168,11 @@ impl MemorySystem {
         self.line_bytes
     }
 
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    pub(crate) fn line_shift(&self) -> u32 {
+        self.line_shift
+    }
+
     /// L1 hit latency (the floor below which OoO hides load latency).
     pub fn l1_latency(&self) -> u64 {
         self.l1[0].latency()

@@ -11,14 +11,17 @@
 //!   (same-line repeats) and every slow-path edge (line crossers, negative
 //!   strides, dependent reads, write-through policies).
 //!
-//! Each comparison runs twice: with a full-interest sink attached (the
-//! CACHE/TRACE interest disables the collapse, checking the exact slow
-//! path and the event stream) and bare (collapse active, checking the
-//! bulk-accounting fast path against the scalar ground truth).
+//! Each comparison runs three times: with a full-interest sink attached
+//! (the CACHE/TRACE interest disables the collapse, checking the exact slow
+//! path and the event stream), bare (collapse active, checking the
+//! bulk-accounting fast path against the scalar ground truth), and with a
+//! FAULT-only sink (collapse active; under a fault plan this checks the
+//! per-element spike draws and their event stamps).
 
 use tartan::sim::telemetry::{shared, JsonLinesSink};
 use tartan::sim::{
-    AccessKind, Machine, MachineConfig, MachineStats, MemPolicy, MemRun, Proc,
+    AccessKind, FaultPlan, FaultStats, Interest, Machine, MachineConfig, MachineStats, MemPolicy,
+    MemRun, Proc,
 };
 use tartan_oracle::{corpus, Op, XorShift};
 
@@ -35,16 +38,24 @@ fn scalar_run(p: &mut Proc<'_>, pc: u64, run: &MemRun) {
     }
 }
 
-/// Runs `body` on a fresh machine, optionally with a JSON-lines sink, and
-/// returns (wall cycles, stats, serialized event stream).
+/// Runs `body` on a fresh machine, with a JSON-lines sink restricted to
+/// `interest` unless it is empty, and returns (wall cycles, stats, fault
+/// counters, serialized event stream).
 fn measure(
     cfg: &MachineConfig,
-    traced: bool,
+    interest: Interest,
     body: impl FnOnce(&mut Proc<'_>),
-) -> (u64, MachineStats, String) {
+) -> (u64, MachineStats, FaultStats, String) {
     let mut m = Machine::new(cfg.clone());
-    let lines = traced.then(|| {
-        let (lines, sink) = shared(JsonLinesSink::with_limit(usize::MAX));
+    let lines = (!interest.is_empty()).then(|| {
+        // The full stream is uncapped; a restricted one stays far below the
+        // default cap.
+        let sink = if interest == Interest::all() {
+            JsonLinesSink::with_limit(usize::MAX)
+        } else {
+            JsonLinesSink::with_interest(interest)
+        };
+        let (lines, sink) = shared(sink);
         m.set_telemetry(sink);
         lines
     });
@@ -56,23 +67,25 @@ fn measure(
             guard.contents().to_string()
         })
         .unwrap_or_default();
-    (m.wall_cycles(), m.stats(), events)
+    (m.wall_cycles(), m.stats(), m.fault_stats(), events)
 }
 
 /// Asserts the scalar and batched executions of the same logical stream
-/// are indistinguishable, traced and untraced.
+/// are indistinguishable: fully traced, untraced, and with only fault
+/// events subscribed.
 fn assert_equivalent(
     label: &str,
     cfg: &MachineConfig,
     scalar: impl Fn(&mut Proc<'_>) + Copy,
     batched: impl Fn(&mut Proc<'_>) + Copy,
 ) {
-    for traced in [true, false] {
-        let (sc, ss, se) = measure(cfg, traced, scalar);
-        let (bc, bs, be) = measure(cfg, traced, batched);
-        assert_eq!(sc, bc, "{label}: wall cycles (traced={traced})");
-        assert_eq!(ss, bs, "{label}: machine stats (traced={traced})");
-        assert_eq!(se, be, "{label}: event streams (traced={traced})");
+    for interest in [Interest::all(), Interest::none(), Interest::FAULT] {
+        let (sc, ss, sf, se) = measure(cfg, interest, scalar);
+        let (bc, bs, bf, be) = measure(cfg, interest, batched);
+        assert_eq!(sc, bc, "{label}: wall cycles ({interest:?})");
+        assert_eq!(ss, bs, "{label}: machine stats ({interest:?})");
+        assert_eq!(sf, bf, "{label}: fault stats ({interest:?})");
+        assert_eq!(se, be, "{label}: event streams ({interest:?})");
     }
 }
 
@@ -227,6 +240,45 @@ fn seeded_random_run_streams_replay_identically() {
                     }
                 },
             );
+        }
+    }
+}
+
+#[test]
+fn fault_plan_run_streams_replay_identically() {
+    // Latency spikes change no cache state, so same-line repeats still skip
+    // the hierarchy walk under a fault plan; each must draw its spike in
+    // scalar order, which the FAULT event stamps and counters check.
+    for seed in 1..=4u64 {
+        let stream = random_stream(seed);
+        for (rate, cycles) in [(0.05, 40), (0.5, 7)] {
+            for base in [MachineConfig::upgraded_baseline(), MachineConfig::tartan()] {
+                let mut cfg = base;
+                cfg.fault_plan = Some(FaultPlan::quiet(seed).with_mem_spikes(rate, cycles));
+                let label = format!("seed {seed}, spike rate {rate}");
+                let (_, _, faults, events) = measure(&cfg, Interest::FAULT, |p| {
+                    for (pc, run) in &stream {
+                        p.run_mem(*pc, run);
+                    }
+                });
+                assert!(faults.injected > 0 && !events.is_empty(), "{label}: spikes must fire");
+                assert_equivalent(
+                    &label,
+                    &cfg,
+                    |p| {
+                        for (pc, run) in &stream {
+                            scalar_run(p, *pc, run);
+                            p.flop(3);
+                        }
+                    },
+                    |p| {
+                        for (pc, run) in &stream {
+                            p.run_mem(*pc, run);
+                            p.flop(3);
+                        }
+                    },
+                );
+            }
         }
     }
 }
