@@ -91,7 +91,9 @@ impl Campaign {
 /// Execution options shared by every campaign in a batch.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Host worker threads; `0` means [`par::default_jobs`].
+    /// Host worker threads (default 1: sequential). The binaries pass
+    /// their parsed `--jobs` here, where `--jobs 0` already means every
+    /// core.
     pub jobs: usize,
     /// Attempts per job (≥ 1); panics are isolated per attempt.
     pub retries: u32,
@@ -116,7 +118,7 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> CampaignOptions {
         CampaignOptions {
-            jobs: 0,
+            jobs: 1,
             retries: 1,
             watchdog: None,
             store: None,
@@ -809,13 +811,8 @@ impl Engine {
         let completed = AtomicUsize::new(0);
         clock.mark("plan");
 
-        let jobs = if opts.jobs == 0 {
-            par::default_jobs()
-        } else {
-            opts.jobs
-        };
         // Worker count the pool will actually use — also the trace's tracks.
-        let workers = jobs.max(1).min(units.len().max(1));
+        let workers = opts.jobs.max(1).min(units.len().max(1));
         let registry = MetricsRegistry::new();
         registry
             .gauge("campaign.total_jobs")
@@ -843,7 +840,7 @@ impl Engine {
             backoff: Duration::from_millis(10),
             watchdog: opts.watchdog,
         };
-        let report = par::try_par_map_indexed_observed(jobs, units.len(), &policy, &observer, |i| {
+        let report = par::try_par_map_indexed_observed(workers, units.len(), &policy, &observer, |i| {
             let unit = &units[i];
             if panic_at.contains(&i) {
                 panic!("injected test panic at job {i}");
@@ -1107,8 +1104,8 @@ pub fn render_exports(
 
 /// Runs every planned job of `spec` through the engine at exactly
 /// `params`, returning full outcomes in plan order — the contract the
-/// figure harnesses and the legacy `run_campaign` relied on. Uses
-/// [`par::default_jobs`] host threads.
+/// figure harnesses rely on. Runs on one host worker, the
+/// [`CampaignOptions`] default.
 ///
 /// # Panics
 ///

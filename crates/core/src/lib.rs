@@ -28,9 +28,7 @@
 pub mod overhead;
 pub mod runner;
 
-pub use runner::{
-    run_campaign, run_campaign_with_jobs, run_robot, CampaignJob, ExperimentParams, RunOutcome,
-};
+pub use runner::{run_robot, CampaignJob, ExperimentParams, RunOutcome};
 
 pub use tartan_robots::{NeuralExec, NnsKind, RobotKind, Scale, SoftwareConfig};
 pub use tartan_scenario::{ConfigId, Plan, PlannedJob, RunParams, ScenarioError, ScenarioSpec};

@@ -2,10 +2,10 @@
 
 //! Deterministic host-level parallelism for simulation campaigns.
 //!
-//! Every figure harness, fault campaign, fuzz run, and the tier-1 bench
-//! executes a (robot × config × seed) matrix of *independent,
-//! deterministic* simulations. This crate fans those jobs out across host
-//! cores with nothing but `std`:
+//! Every campaign — a figure harness, the tier-1 bench, a `tartan_run`
+//! scenario, a fuzz run — executes a (robot × config × seed) matrix of
+//! *independent, deterministic* simulations. This crate fans those jobs
+//! out across host cores with nothing but `std`, through one worker pool:
 //!
 //! * **Scoped worker pool** — [`par_map`]/[`par_map_indexed`] spawn at most
 //!   `jobs` workers inside [`std::thread::scope`], so borrowed job data
@@ -19,24 +19,23 @@
 //! * **Sequential fast path** — `jobs <= 1` (or a single job) runs inline
 //!   on the caller's thread: no spawn, no locks, bit-identical by
 //!   construction.
-//! * **Fault isolation** — [`try_par_map`]/[`try_par_map_indexed`] wrap
-//!   each job in [`std::panic::catch_unwind`], so one panicking job yields
-//!   a structured [`JobFailure`] in its slot while every other job still
-//!   completes and returns its result. A [`RetryPolicy`] adds bounded
-//!   per-job retries with linear backoff and an optional watchdog timeout
-//!   that *flags* (never kills) jobs running past their deadline.
+//! * **Fault isolation** — [`try_par_map_indexed`] wraps each job in
+//!   [`std::panic::catch_unwind`], so one panicking job yields a structured
+//!   [`JobFailure`] in its slot while every other job still completes and
+//!   returns its result. A [`RetryPolicy`] adds bounded per-job retries
+//!   with linear backoff and an optional watchdog timeout that *flags*
+//!   (never kills) jobs running past their deadline. [`par_map_indexed`]
+//!   is the same pool with the default policy; it re-raises the
+//!   lowest-index failure once every job has finished.
 //! * **Lifecycle observability** — [`try_par_map_indexed_observed`] taps
 //!   every claimed/started/retried/slow/panicked/done transition (with
 //!   per-job host nanoseconds and worker ids) through a [`JobObserver`],
 //!   feeding the campaign progress/metrics layer without changing any
 //!   result.
 //!
-//! The process-wide default job count ([`default_jobs`]/[`set_default_jobs`])
-//! lets deep call sites — the per-figure experiment drivers — pick up a
-//! `--jobs` flag parsed at the CLI edge without threading a parameter
-//! through every signature. It defaults to 1: parallelism is strictly
-//! opt-in, so library users and tests see sequential behavior unless they
-//! ask otherwise.
+//! Every entry point takes its worker count as an argument; there is no
+//! process-wide default. Binaries parse `--jobs N` at the CLI edge
+//! ([`parse_jobs_flag`]) and pass the count down explicitly.
 //!
 //! # Examples
 //!
@@ -50,26 +49,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Process-wide default for [`default_jobs`]; 1 = sequential.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(1);
-
 /// Number of host cores available to this process (≥ 1).
 pub fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Sets the process-wide default job count used by [`default_jobs`] (and
-/// through it the experiment drivers). Clamped to ≥ 1.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide default job count. 1 (sequential) unless a CLI edge
-/// called [`set_default_jobs`].
-pub fn default_jobs() -> usize {
-    DEFAULT_JOBS.load(Ordering::SeqCst)
 }
 
 /// Parses a `--jobs N` / `--jobs=N` flag out of an argument list,
@@ -107,43 +91,19 @@ pub fn parse_jobs_flag(args: &[String]) -> Result<(usize, Vec<String>), String> 
 ///
 /// `f` must be a pure function of its index (plus captured shared state)
 /// for the parallel result to equal the sequential one; every caller in
-/// this workspace passes a deterministic simulation. Panics in `f` are
-/// propagated to the caller once all workers have stopped.
+/// this workspace passes a deterministic simulation. This is
+/// [`try_par_map_indexed`] with the default [`RetryPolicy`]: a panic in one
+/// job never stops the others, and once every job has finished the
+/// lowest-index failure's message is re-raised as a panic.
 pub fn par_map_indexed<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let jobs = jobs.max(1).min(count);
-    if jobs <= 1 {
-        return (0..count).map(f).collect();
-    }
-    // One slot per submission index. Workers race on *which* jobs they run,
-    // never on *where* results go, so collection order is deterministic.
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = f(i);
-                // Recover from poisoning: if a sibling worker panicked while
-                // holding a lock, the stored value is still intact — taking
-                // it keeps one job failure from masquerading as another's.
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-            });
-        }
-    });
-    slots
+    try_par_map_indexed(jobs, count, &RetryPolicy::default(), f)
+        .results
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every job index was claimed by exactly one worker")
-        })
+        .map(|r| r.unwrap_or_else(|failure| panic!("{}", failure.message)))
         .collect()
 }
 
@@ -348,8 +308,9 @@ where
     )
 }
 
-/// Fault-isolated [`par_map_indexed`]: runs `count` jobs on up to `jobs`
-/// workers, isolating each job with [`catch_unwind`]. A panicking job
+/// The worker pool: runs `count` jobs on up to `jobs` workers (`jobs <= 1`
+/// runs them inline on the caller's thread), isolating each job with
+/// [`catch_unwind`]. A panicking job
 /// records a [`JobFailure`] in its submission-order slot — it never aborts
 /// the pool, and every other job still completes. Retries and the watchdog
 /// timeout come from `policy`.
@@ -489,18 +450,6 @@ where
     }
 }
 
-/// Fault-isolated [`par_map`] with the default [`RetryPolicy`] (single
-/// attempt, no watchdog): one panicking item yields a [`JobFailure`] in
-/// its slot while every other item's result is still returned.
-pub fn try_par_map<I, T, F>(jobs: usize, items: &[I], f: F) -> TryReport<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    try_par_map_indexed(jobs, items.len(), &RetryPolicy::default(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,12 +499,24 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_round_trips() {
-        assert_eq!(default_jobs(), 1);
-        set_default_jobs(6);
-        assert_eq!(default_jobs(), 6);
-        set_default_jobs(0); // clamped
-        assert_eq!(default_jobs(), 1);
+    fn par_map_reraises_the_lowest_failure_after_every_job_ran() {
+        for jobs in [1, 4] {
+            let ran: Vec<AtomicU64> = (0..16).map(|_| AtomicU64::new(0)).collect();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                par_map_indexed(jobs, 16, |i| {
+                    ran[i].fetch_add(1, Ordering::SeqCst);
+                    if i == 5 || i == 11 {
+                        panic!("boom {i}");
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("a failed job must panic the caller");
+            assert_eq!(panic_message(payload.as_ref()), "boom 5", "jobs = {jobs}");
+            for (i, r) in ran.iter().enumerate() {
+                assert_eq!(r.load(Ordering::SeqCst), 1, "jobs = {jobs}: job {i}");
+            }
+        }
     }
 
     #[test]
@@ -610,13 +571,11 @@ mod tests {
         assert!(err.contains("bad --jobs"), "got: {err}");
     }
 
-    // Satellite regression: one panicking job under try_par_map must still
-    // yield every other job's result — no pool-wide abort, no poisoned-slot
-    // panic.
+    // One panicking job must still yield every other job's result — no
+    // pool-wide abort, no poisoned-slot panic.
     #[test]
     fn one_panicking_job_spares_the_rest() {
-        let items: Vec<usize> = (0..32).collect();
-        let report = try_par_map(4, &items, |&i| {
+        let report = try_par_map_indexed(4, 32, &RetryPolicy::default(), |i| {
             if i == 13 {
                 panic!("injected failure in job {i}");
             }

@@ -2,7 +2,7 @@
 //! host-time regression.
 //!
 //! ```text
-//! bench_compare BASELINE CURRENT [--threshold PCT] [--warn-only]
+//! bench_compare BASELINE CURRENT [--threshold PCT]
 //! ```
 //!
 //! Host timings are noisy — a loaded CI runner can easily be 20% slower
@@ -28,9 +28,8 @@
 //!
 //! A regression is declared when either figure degrades by more than
 //! `--threshold` percent (default 50 — generous on purpose: the gate is
-//! for 2× blowups, not 5% jitter). `--warn-only` reports but always exits
-//! 0 on a regression — the CI mode, where runner noise makes a hard gate
-//! flaky (see ci.yml).
+//! for 2× blowups, not 5% jitter). CI enforces the gate with
+//! `--threshold 10` (see ci.yml).
 //!
 //! Exit codes: 0 no regression, 1 regression, 2 usage / unreadable or
 //! malformed input.
@@ -40,7 +39,7 @@ use std::fs;
 use tartan::campaign::cli;
 use tartan::sim::telemetry::json::{parse as parse_json, JsonValue};
 
-const USAGE: &str = "usage: bench_compare BASELINE CURRENT [--threshold PCT] [--warn-only]";
+const USAGE: &str = "usage: bench_compare BASELINE CURRENT [--threshold PCT]";
 
 fn usage_error(msg: &str) -> ! {
     cli::usage_error("bench_compare", USAGE, msg)
@@ -200,7 +199,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files: Vec<String> = Vec::new();
     let mut threshold_pct: f64 = 50.0;
-    let mut warn_only = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -208,7 +206,6 @@ fn main() {
                 Some(Ok(p)) if p > 0.0 && p.is_finite() => threshold_pct = p,
                 _ => usage_error("--threshold needs a positive percent"),
             },
-            "--warn-only" => warn_only = true,
             other if other.starts_with("--") => {
                 usage_error(&format!("unrecognized flag {other}"))
             }
@@ -312,12 +309,8 @@ fn main() {
         _ => println!("bench_compare: warm section present in only one input; skipped"),
     }
 
-    if !regressed {
-        println!("bench_compare: OK (within threshold)");
-    } else if warn_only {
-        println!("bench_compare: warn-only mode, not failing the build");
-    }
-    if regressed && !warn_only {
+    if regressed {
         std::process::exit(1);
     }
+    println!("bench_compare: OK (within threshold)");
 }

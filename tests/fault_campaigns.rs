@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use tartan::core::{
-    run_campaign_with_jobs, run_robot, CampaignJob, ExperimentParams, RobotKind, RunOutcome,
-    SoftwareConfig,
+    run_robot, CampaignJob, ExperimentParams, RobotKind, RunOutcome, SoftwareConfig,
 };
 use tartan::nn::{Mlp, Topology};
 use tartan::npu::SupervisedNpu;
@@ -25,10 +24,11 @@ fn outcome(kind: RobotKind, plan: Option<FaultPlan>) -> RunOutcome {
     run_robot(kind, hw, sw, &ExperimentParams::quick())
 }
 
-/// Fans a campaign matrix across host workers; an explicit job count keeps
-/// the tests independent of the process-global default.
+/// Fans a campaign matrix across four host workers, outcomes in job order.
 fn campaign(jobs: &[CampaignJob]) -> Vec<RunOutcome> {
-    run_campaign_with_jobs(4, jobs, &ExperimentParams::quick())
+    tartan::par::par_map(4, jobs, |(kind, hw, sw)| {
+        run_robot(*kind, hw.clone(), *sw, &ExperimentParams::quick())
+    })
 }
 
 /// The NPU-carrying robots — the ones accelerator faults can reach.

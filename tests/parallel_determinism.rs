@@ -4,17 +4,20 @@
 //! The engine's whole claim (DESIGN.md §12) is that workers race only over
 //! *which* job they pick up, never over where its result lands or what the
 //! simulation computes — every `run_robot` is self-contained and seeded.
-//! These tests pin that claim: a `jobs=4` campaign must produce
-//! bit-identical `StatsExport` JSON and identical per-run telemetry
-//! counter totals to the same campaign at `jobs=1`.
+//! These tests pin that claim on `tartan_campaign::Engine`, the path
+//! `tartan_run`, `bench_tier1` and the figure harnesses take: a `jobs=4`
+//! campaign must produce bit-identical `StatsExport` JSON and identical
+//! per-run telemetry counter totals to the same campaign at `jobs=1`.
 
 use std::collections::BTreeMap;
 
+use tartan::campaign::{Campaign, CampaignOptions, CampaignSpec, Engine, PhaseClock};
 use tartan::core::{
-    run_campaign_with_jobs, CampaignJob, ConfigId, ExperimentParams, MachineConfig, RobotKind,
-    SoftwareConfig,
+    CampaignJob, ConfigId, ExperimentParams, MachineConfig, Plan, PlannedJob, RobotKind,
+    ScenarioSpec, SoftwareConfig,
 };
 use tartan::par;
+use tartan::scenario::GroupPlan;
 use tartan::sim::telemetry::{shared, CountingSink, StatsExport};
 use tartan::sim::{Machine, MemPolicy};
 
@@ -45,16 +48,69 @@ fn matrix() -> Vec<(ConfigId, CampaignJob)> {
     m
 }
 
+/// The matrix as one engine campaign at quick scale.
+fn campaign() -> Campaign {
+    let jobs: Vec<PlannedJob> = matrix()
+        .into_iter()
+        .map(|(config, (robot, machine, software))| PlannedJob {
+            robot,
+            machine,
+            software,
+            label: String::new(),
+            config,
+            group: 0,
+        })
+        .collect();
+    let spec = ScenarioSpec::from_json(
+        r#"{"schema_version": 1, "name": "parallel_determinism", "groups": [{"robots": "all"}]}"#,
+    )
+    .expect("inline scenario parses");
+    let plan = Plan {
+        name: spec.name.clone(),
+        title: None,
+        groups: vec![GroupPlan {
+            name: "matrix".into(),
+            first: 0,
+            len: jobs.len(),
+            variants_per_robot: 2,
+            robots: jobs.len() / 2,
+        }],
+        jobs,
+    };
+    Campaign {
+        spec,
+        plan,
+        params: ExperimentParams::quick(),
+    }
+}
+
 fn export_for(jobs: usize) -> StatsExport {
-    let matrix = matrix();
-    let campaign: Vec<CampaignJob> = matrix.iter().map(|(_, j)| j.clone()).collect();
-    let outcomes = run_campaign_with_jobs(jobs, &campaign, &ExperimentParams::quick());
+    let engine = Engine::new(CampaignSpec {
+        campaigns: vec![campaign()],
+        options: CampaignOptions {
+            jobs,
+            keep_outcomes: true,
+            ..CampaignOptions::default()
+        },
+    });
+    let report = engine
+        .run(&mut PhaseClock::start(), None)
+        .expect("no store to open");
+    let result = &report.campaigns[0];
+    assert!(result.failures.is_empty(), "{:?}", result.failures);
     StatsExport {
         generator: "parallel_determinism".into(),
-        runs: matrix
+        runs: engine.spec.campaigns[0]
+            .plan
+            .jobs
             .iter()
-            .zip(&outcomes)
-            .map(|((config, _), out)| out.to_run_stats(config))
+            .zip(&result.results)
+            .map(|(job, slot)| {
+                slot.as_ref()
+                    .and_then(|out| out.outcome.as_ref())
+                    .expect("keep_outcomes was set")
+                    .to_run_stats(&job.config)
+            })
             .collect(),
         failures: Vec::new(),
     }

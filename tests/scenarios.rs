@@ -14,11 +14,11 @@
 
 use std::fs;
 
+use tartan::campaign::{Campaign, CampaignOptions, CampaignSpec, Engine, PhaseClock};
 use tartan::core::experiments::{self, manifests};
 use tartan::core::{
-    run_campaign, run_campaign_with_jobs, CampaignJob, ExperimentParams, FcpConfig,
-    FcpManipulation, MachineConfig, NeuralExec, NnsKind, NpuMode, PrefetcherKind, RobotKind,
-    ScenarioSpec, SoftwareConfig,
+    run_robot, CampaignJob, ExperimentParams, FcpConfig, FcpManipulation, MachineConfig,
+    NeuralExec, NnsKind, NpuMode, PrefetcherKind, RobotKind, ScenarioSpec, SoftwareConfig,
 };
 use tartan::robots::VecMethod;
 use tartan::sim::telemetry::StatsExport;
@@ -188,7 +188,10 @@ fn fig7_scenario_driver_output_is_byte_identical_to_legacy() {
             (RobotKind::DeliBot, hw, sw)
         })
         .collect();
-    let outcomes = run_campaign(&jobs, &params);
+    let outcomes: Vec<_> = jobs
+        .iter()
+        .map(|(kind, hw, sw)| run_robot(*kind, hw.clone(), *sw, &params))
+        .collect();
     let base = outcomes[0].bottleneck_cycles as f64;
     let legacy_rows: Vec<experiments::Fig7Row> = CONFIGS
         .iter()
@@ -489,32 +492,42 @@ fn bench_tier1_manifest_matches_legacy_matrix() {
 }
 
 /// The scenario-driven stats export must be byte-identical for any worker
-/// count — the `tartan_run --jobs N` contract.
+/// count — the `tartan_run --jobs N` contract, checked on the engine that
+/// `tartan_run` drives.
 #[test]
 fn scenario_export_is_byte_identical_across_job_counts() {
-    let spec = ScenarioSpec::from_json(manifests::SMOKE).unwrap();
-    let plan = spec.expand().unwrap();
-    let params: ExperimentParams = spec.base_params().into();
-    let jobs: Vec<CampaignJob> = plan
-        .jobs
-        .iter()
-        .map(|j| (j.robot, j.machine.clone(), j.software))
-        .collect();
-    let export_for = |n: usize| {
-        let outcomes = run_campaign_with_jobs(n, &jobs, &params);
+    let campaign = Campaign::from_spec(ScenarioSpec::from_json(manifests::SMOKE).unwrap()).unwrap();
+    let export_for = |jobs: usize| {
+        let engine = Engine::new(CampaignSpec {
+            campaigns: vec![campaign.clone()],
+            options: CampaignOptions {
+                jobs,
+                keep_outcomes: true,
+                ..CampaignOptions::default()
+            },
+        });
+        let report = engine
+            .run(&mut PhaseClock::start(), None)
+            .expect("no store to open");
         StatsExport {
             generator: "tartan_run".into(),
-            runs: plan
+            runs: campaign
+                .plan
                 .jobs
                 .iter()
-                .zip(&outcomes)
-                .map(|(job, out)| out.to_run_stats(&job.config))
+                .zip(&report.campaigns[0].results)
+                .map(|(job, slot)| {
+                    slot.as_ref()
+                        .and_then(|out| out.outcome.as_ref())
+                        .expect("keep_outcomes was set")
+                        .to_run_stats(&job.config)
+                })
                 .collect(),
             failures: Vec::new(),
         }
         .to_json()
     };
-    assert_eq!(export_for(1), export_for(2));
+    assert_eq!(export_for(1), export_for(4));
 }
 
 /// Invalid scenario documents must fail with a single-line error carrying
